@@ -132,9 +132,6 @@ class BitCursor:
         self.pos += n
         return out
 
-    def read_bit(self):
-        return int(self._take(1)[0])
-
     def read_bits(self, width):
         """Read a `width`-bit MSB-first unsigned integer."""
         if width < 0:
@@ -145,27 +142,6 @@ class BitCursor:
         pad = (-width) % 8
         padded = np.concatenate([np.zeros(pad, dtype=np.uint8), chunk])
         return int.from_bytes(np.packbits(padded).tobytes(), "big")
-
-
-def write_unary(k) -> BitString:
-    """Unary code for k >= 1: (k-1) ones followed by one zero."""
-    if k < 1:
-        raise ValueError("unary code is defined for k >= 1")
-    arr = np.ones(k, dtype=np.uint8)
-    arr[-1] = 0
-    return BitString._wrap(arr)
-
-
-def read_unary(cursor: BitCursor):
-    """Inverse of write_unary; consumes exactly the returned value's bits."""
-    rel = np.flatnonzero(cursor._arr[cursor.pos:] == 0)
-    if rel.size == 0:
-        raise TruncatedStreamError(
-            f"unary code not terminated (offset {cursor.pos})"
-        )
-    k = int(rel[0]) + 1
-    cursor.pos += k
-    return k
 
 
 def write_unary_block(values) -> BitString:
@@ -199,10 +175,6 @@ def read_unary_block(cursor: BitCursor, count):
 def write_fixed(value, width) -> BitString:
     """Fixed-width unsigned integer, MSB first."""
     return BitString.from_int(value, width)
-
-
-def read_fixed(cursor: BitCursor, width):
-    return cursor.read_bits(width)
 
 
 def golomb_rice_params(p):
@@ -341,23 +313,6 @@ def write_float_magnitude(value) -> BitString:
 
 def read_float_magnitude(cursor: BitCursor):
     word = cursor.read_bits(31)
-    return struct.unpack(">f", word.to_bytes(4, "big"))[0]
-
-
-def write_float32(value) -> BitString:
-    """Full signed IEEE binary32, 32 bits."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value}")
-    try:
-        raw = struct.pack(">f", value)
-    except OverflowError as exc:
-        raise ValueError(f"value {value} overflows binary32") from exc
-    return BitString.from_int(int.from_bytes(raw, "big"), 32)
-
-
-def read_float32(cursor: BitCursor):
-    word = cursor.read_bits(32)
     return struct.unpack(">f", word.to_bytes(4, "big"))[0]
 
 

@@ -6,22 +6,28 @@ selftest.  Exit codes: 0 success, 1 usage error, 2 I/O or parse error,
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__, bitio, bounds, selftest
-from .compressors import OPERATOR_TAGS, GiveUpError, OperatorConfig, make_operator
+from .compressors import (CODECS, GiveUpError, OperatorConfig, check_wrap,
+                          decode_payload, kind_for_tag, make_operator)
 from .data import ParseError, load_dataset
 from .optim import (cgd_run, make_problem, minimizer, smoothness,
-                    sweep_config, theoretical_ratio, iteration_ratio_sweep,
-                    r_squared)
+                    iteration_ratio_sweep, r_squared)
 from .rng import default_seed
 from .svg import line_plot
 
-_TAG_TO_KIND = {tag: kind for kind, tag in OPERATOR_TAGS.items()}
+# the uncompressed baseline that `bench` labels "basic"
+BASIC = OperatorConfig("identity")
+# OperatorConfig field -> value type, for `bench --ops` items
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(OperatorConfig)
+                if f.name != "kind"}
 
 
 class UsageError(Exception):
@@ -34,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_operator_flags(p):
-    p.add_argument("--op", choices=sorted(OPERATOR_TAGS),
+    p.add_argument("--op", choices=sorted(CODECS),
                    help="operator kind")
     p.add_argument("--nu", type=float, help="sparse dithering variance target")
     p.add_argument("--alpha", type=float, help="spherical compression contraction")
@@ -82,12 +88,9 @@ def _print_bound_context(config, d, out):
         ("distortion", f"{out.distortion:.6g}"),
         ("eq1_floor_at_measured", f"{floor:.1f}"),
     ]
-    if config.kind == "dsd":
-        cols.append(("predicted_dsd_bits", f"{bounds.dsd_predicted_bits(config.nu, d):.1f}"))
-    if config.kind == "rsd":
-        cols.append(("predicted_rsd_bits", f"{bounds.rsd_predicted_bits(config.nu, d):.1f}"))
-    if config.kind == "sc":
-        cols.append(("avg_lower_bits", f"{bounds.avg_lower_bound(config.alpha, d):.2f}"))
+    predicted = CODECS[config.kind].predicted
+    if predicted is not None:
+        cols.append(predicted(config, d))
     print("  ".join(f"{k}={v}" for k, v in cols))
 
 
@@ -103,44 +106,27 @@ def cmd_compress(args):
     return 0
 
 
-def _decode_payload(kind, payload, d, args):
-    from . import compressors as comp
-
-    if kind in ("dsd", "rsd"):
-        return comp.dsd_decompress(payload, d)
-    if kind == "sc":
-        if args.alpha is None:
-            raise UsageError("decoding an sc message requires --alpha")
-        seed = default_seed() if args.seed is None else args.seed
-        return comp.sc_decompress(payload, d, args.alpha, seed,
-                                  message_index=args.message_index)
-    if kind in ("topk", "randsparse"):
-        if args.k is None:
-            raise UsageError(f"decoding a {kind} message requires --k")
-        return comp.topk_decompress(payload, d, args.k)
-    if kind == "dither":
-        if args.levels is None:
-            raise UsageError("decoding a dither message requires --levels")
-        return comp.std_dither_decompress(payload, d, args.levels)
-    if kind == "ternary":
-        return comp.ternary_decompress(payload, d)
-    if kind == "natural":
-        return comp.natural_decompress(payload, d)
-    return comp.identity_decompress(payload, d)
-
-
 def cmd_decompress(args):
     with open(args.infile, "rb") as fh:
         blob = fh.read()
     tag, d, payload = bitio.unpack_container(blob)
-    if tag not in _TAG_TO_KIND:
+    kind = kind_for_tag(tag)
+    if kind is None:
         raise bitio.DecodeError(f"unknown operator tag {tag}")
-    kind = _TAG_TO_KIND[tag]
     if args.op is not None and args.op != kind:
         raise UsageError(f"container holds a {kind} message, not {args.op}")
-    rec = _decode_payload(kind, payload, d, args)
+    needed = CODECS[kind].decode_params
+    for name in needed:
+        if getattr(args, name) is None:
+            raise UsageError(f"decoding a {kind} message requires --{name}")
     if args.wrap_omega is not None:
-        rec = rec / (1.0 + args.wrap_omega)
+        check_wrap(kind, args.wrap_omega)
+    params = SimpleNamespace(
+        kind=kind, wrap_omega=args.wrap_omega,
+        seed=default_seed() if args.seed is None else args.seed,
+        **{name: getattr(args, name) for name in needed},
+    )
+    rec = decode_payload(params, payload, d, args.message_index)
     text = " ".join(repr(float(v)) for v in rec)
     if args.outfile == "-":
         print(text)
@@ -154,7 +140,7 @@ def cmd_stats(args):
     with open(args.infile, "rb") as fh:
         blob = fh.read()
     tag, d, payload = bitio.unpack_container(blob)
-    kind = _TAG_TO_KIND.get(tag, f"unknown({tag})")
+    kind = kind_for_tag(tag) or f"unknown({tag})"
     print(f"operator={kind} d={d} payload_bits={len(payload)} "
           f"container_bytes={len(blob)}")
     return 0
@@ -216,25 +202,18 @@ def _parse_ops_list(text, seed):
         if not item:
             continue
         name, _, params = item.partition(":")
-        kwargs = {}
+        kwargs = {"seed": seed}
         if params:
             for kv in params.split(","):
                 key, _, value = kv.partition("=")
                 key = key.strip()
-                if key in ("k", "levels"):
-                    kwargs[key] = int(value)
-                elif key in ("nu", "alpha", "wrap_omega"):
-                    kwargs[key] = float(value)
-                elif key == "seed":
-                    kwargs["seed"] = int(value)
-                else:
+                if key not in _FIELD_TYPES:
                     raise UsageError(f"unknown operator field {key!r} in {item!r}")
-        kwargs.setdefault("seed", seed)
-        if name == "identity":
-            kwargs.pop("seed", None)
-            configs.append(("basic", OperatorConfig("identity")))
-        else:
-            configs.append((item, OperatorConfig(name, **kwargs)))
+                kwargs[key] = _FIELD_TYPES[key](value)
+        if name in CODECS and not CODECS[name].randomized:
+            del kwargs["seed"]  # no stream to key: record the default seed
+        config = OperatorConfig(name, **kwargs)
+        configs.append(("basic" if config == BASIC else item, config))
     if not configs:
         raise UsageError("empty operator list")
     return configs
@@ -262,7 +241,7 @@ def cmd_bench(args):
         configs = _parse_ops_list(args.ops, seed)
     else:
         configs = [
-            ("basic", OperatorConfig("identity")),
+            ("basic", BASIC),
             ("dsd(nu=0.1)", OperatorConfig("dsd", nu=0.1)),
             ("rsd(nu=0.25)", OperatorConfig("rsd", nu=0.25, seed=seed)),
             ("sc(alpha=%g)" % args.sc_alpha,

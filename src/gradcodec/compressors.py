@@ -19,28 +19,14 @@ the identical sample sequence.
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import bitio
+from . import bitio, bounds
 from .bitio import BitCursor, BitString
 from .geometry import CapParams, cap_probability
 from .rng import message_stream
-
-OPERATOR_TAGS = {
-    "dsd": 1,
-    "rsd": 2,
-    "sc": 3,
-    "topk": 4,
-    "randsparse": 5,
-    "dither": 6,
-    "ternary": 7,
-    "natural": 8,
-    "identity": 9,
-}
-
-_UNBIASED_KINDS = {"rsd", "randsparse", "dither", "ternary", "natural", "identity"}
-_RANDOMIZED_KINDS = {"rsd", "sc", "randsparse", "dither", "ternary", "natural"}
 
 
 class GiveUpError(RuntimeError):
@@ -246,10 +232,6 @@ def rsd_compress(x, nu, rng: np.random.Generator):
     return payload, _outcome(x, sd_reconstruct(msg), payload)
 
 
-def rsd_decompress(bits: BitString, d):
-    return dsd_decompress(bits, d)
-
-
 # --- spherical compression -----------------------------------------------
 
 def sc_trial_cap(p):
@@ -396,10 +378,6 @@ def random_sparsify(x, k, rng: np.random.Generator):
     return payload, _outcome(x, rec, payload)
 
 
-def random_sparsify_decompress(bits: BitString, d, k):
-    return topk_decompress(bits, d, k)
-
-
 def std_dither(x, s, rng: np.random.Generator):
     """Random dithering with s uniform levels on |u_i| of the unit
     direction: stochastic rounding of s |u_i|, encoded as a 31-bit norm,
@@ -424,8 +402,8 @@ def std_dither(x, s, rng: np.random.Generator):
         bitio.write_unary_block(levels + 1),
         BitString(signs[nz]),
     ])
-    norm32 = _f32(norm)
-    rec = norm32 * np.where(u < 0.0, -1.0, 1.0) * levels / s
+    # a sign only on nonzero levels, as the decoder reads it: no -0.0
+    rec = _f32(norm) * np.where(nz & (u < 0.0), -1.0, 1.0) * levels / s
     return payload, _outcome(x, rec, payload)
 
 
@@ -451,10 +429,6 @@ def std_dither_decompress(bits: BitString, d, s):
 def ternary(x, rng: np.random.Generator):
     """Single-level dithering: coordinates snap to {-1, 0, +1} scaled by the norm."""
     return std_dither(x, 1, rng)
-
-
-def ternary_decompress(bits: BitString, d):
-    return std_dither_decompress(bits, d, 1)
 
 
 def natural_compress(x, rng: np.random.Generator):
@@ -525,6 +499,113 @@ def contract_wrap(outcome: CompressionOutcome, omega, x):
     )
 
 
+# --- the codec table ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class CodecSpec:
+    """Everything that differs between operator kinds.
+
+    encode(x, config, message_index) -> (payload, outcome) reads the
+    `params` fields of the config, and its seed when `randomized`;
+    decode(bits, d, config, message_index) -> vector reads only the
+    `decode_params` fields and the seed.  The operator is contractive
+    ("C") or unbiased ("U") per `variance_class`, with parameter
+    variance(config, d).  `predicted`, where set, maps (config, d) to
+    the (column, value) that `gradcodec compress` prints next to the
+    measured bits.
+    """
+
+    tag: int
+    params: tuple
+    decode_params: tuple
+    randomized: bool
+    variance_class: str
+    variance: Callable
+    encode: Callable
+    decode: Callable
+    predicted: Callable = None
+
+
+CODECS = {
+    "dsd": CodecSpec(
+        tag=1, params=("nu",), decode_params=(), randomized=False,
+        variance_class="C", variance=lambda c, d: c.nu,
+        encode=lambda x, c, i: dsd_compress(x, c.nu),
+        decode=lambda bits, d, c, i: dsd_decompress(bits, d),
+        predicted=lambda c, d: ("predicted_dsd_bits",
+                                f"{bounds.dsd_predicted_bits(c.nu, d):.1f}"),
+    ),
+    "rsd": CodecSpec(
+        tag=2, params=("nu",), decode_params=(), randomized=True,
+        variance_class="U", variance=lambda c, d: c.nu,
+        encode=lambda x, c, i: rsd_compress(x, c.nu, message_stream(c.seed, i)),
+        decode=lambda bits, d, c, i: dsd_decompress(bits, d),
+        predicted=lambda c, d: ("predicted_rsd_bits",
+                                f"{bounds.rsd_predicted_bits(c.nu, d):.1f}"),
+    ),
+    "sc": CodecSpec(
+        tag=3, params=("alpha",), decode_params=("alpha",), randomized=True,
+        variance_class="C", variance=lambda c, d: c.alpha,
+        encode=lambda x, c, i: sc_compress(x, c.alpha, c.seed, i),
+        decode=lambda bits, d, c, i: sc_decompress(bits, d, c.alpha, c.seed, i),
+        predicted=lambda c, d: ("avg_lower_bits",
+                                f"{bounds.avg_lower_bound(c.alpha, d):.2f}"),
+    ),
+    "topk": CodecSpec(
+        tag=4, params=("k",), decode_params=("k",), randomized=False,
+        variance_class="C", variance=lambda c, d: 1.0 - c.k / d,
+        encode=lambda x, c, i: topk_compress(x, c.k),
+        decode=lambda bits, d, c, i: topk_decompress(bits, d, c.k),
+    ),
+    "randsparse": CodecSpec(
+        tag=5, params=("k",), decode_params=("k",), randomized=True,
+        variance_class="U", variance=lambda c, d: d / c.k - 1.0,
+        encode=lambda x, c, i: random_sparsify(x, c.k, message_stream(c.seed, i)),
+        decode=lambda bits, d, c, i: topk_decompress(bits, d, c.k),
+    ),
+    "dither": CodecSpec(
+        tag=6, params=("levels",), decode_params=("levels",), randomized=True,
+        variance_class="U",
+        variance=lambda c, d: min(d / c.levels**2, math.sqrt(d) / c.levels),
+        encode=lambda x, c, i: std_dither(x, c.levels, message_stream(c.seed, i)),
+        decode=lambda bits, d, c, i: std_dither_decompress(bits, d, c.levels),
+    ),
+    "ternary": CodecSpec(
+        tag=7, params=(), decode_params=(), randomized=True,
+        variance_class="U", variance=lambda c, d: math.sqrt(d),
+        encode=lambda x, c, i: ternary(x, message_stream(c.seed, i)),
+        decode=lambda bits, d, c, i: std_dither_decompress(bits, d, 1),
+    ),
+    "natural": CodecSpec(
+        tag=8, params=(), decode_params=(), randomized=True,
+        variance_class="U", variance=lambda c, d: 0.125,
+        encode=lambda x, c, i: natural_compress(x, message_stream(c.seed, i)),
+        decode=lambda bits, d, c, i: natural_decompress(bits, d),
+    ),
+    "identity": CodecSpec(
+        tag=9, params=(), decode_params=(), randomized=False,
+        variance_class="U", variance=lambda c, d: 0.0,
+        encode=lambda x, c, i: identity_compress(x),
+        decode=lambda bits, d, c, i: identity_decompress(bits, d),
+    ),
+}
+
+OPERATOR_TAGS = {kind: spec.tag for kind, spec in CODECS.items()}
+
+
+def kind_for_tag(tag):
+    """The operator kind that a GCV1 tag byte names, or None."""
+    return next((kind for kind, spec in CODECS.items() if spec.tag == tag), None)
+
+
+def check_wrap(kind, omega):
+    """Reject a contract wrap that no encoder of `kind` can produce."""
+    if CODECS[kind].variance_class != "U":
+        raise ValueError(f"contract wrap requires an unbiased operator, not {kind}")
+    if omega < 0.0:
+        raise ValueError("wrap omega must be >= 0")
+
+
 # --- configured operators ---------------------------------------------------
 
 @dataclass
@@ -539,22 +620,10 @@ class OperatorConfig:
     wrap_omega: float = None
     seed: int = 0
 
-    _REQUIRED = {
-        "dsd": ("nu",),
-        "rsd": ("nu",),
-        "sc": ("alpha",),
-        "topk": ("k",),
-        "randsparse": ("k",),
-        "dither": ("levels",),
-        "ternary": (),
-        "natural": (),
-        "identity": (),
-    }
-
     def __post_init__(self):
-        if self.kind not in OPERATOR_TAGS:
+        if self.kind not in CODECS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        required = self._REQUIRED[self.kind]
+        required = CODECS[self.kind].params
         for name in ("nu", "alpha", "k", "levels"):
             value = getattr(self, name)
             if name in required and value is None:
@@ -570,12 +639,7 @@ class OperatorConfig:
         if self.levels is not None and self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         if self.wrap_omega is not None:
-            if self.kind not in _UNBIASED_KINDS:
-                raise ValueError(
-                    f"contract wrap requires an unbiased operator, not {self.kind}"
-                )
-            if self.wrap_omega < 0.0:
-                raise ValueError("wrap omega must be >= 0")
+            check_wrap(self.kind, self.wrap_omega)
 
     def label(self):
         parts = []
@@ -593,6 +657,19 @@ class OperatorConfig:
         return name
 
 
+def decode_payload(config, bits, d, message_index=0):
+    """Decode one payload of config.kind, undoing a contract wrap.
+
+    `config` is an OperatorConfig or any object with kind, seed,
+    wrap_omega and the kind's decode_params: a decoder needs none of
+    the encoder-only parameters.
+    """
+    rec = CODECS[config.kind].decode(bits, d, config, message_index)
+    if config.wrap_omega is not None:
+        rec = rec / (1.0 + config.wrap_omega)
+    return rec
+
+
 class Operator:
     """A configured operator with a per-message counter for seed derivation."""
 
@@ -602,7 +679,7 @@ class Operator:
 
     @property
     def tag(self):
-        return OPERATOR_TAGS[self.config.kind]
+        return CODECS[self.config.kind].tag
 
     def reset(self):
         self.message_index = 0
@@ -613,23 +690,8 @@ class Operator:
         if c.wrap_omega is not None:
             w = c.wrap_omega
             return ("B", w / (1.0 + w))
-        if c.kind == "dsd":
-            return ("C", c.nu)
-        if c.kind == "rsd":
-            return ("U", c.nu)
-        if c.kind == "sc":
-            return ("C", c.alpha)
-        if c.kind == "topk":
-            return ("C", 1.0 - c.k / d)
-        if c.kind == "randsparse":
-            return ("U", d / c.k - 1.0)
-        if c.kind == "dither":
-            return ("U", min(d / c.levels**2, math.sqrt(d) / c.levels))
-        if c.kind == "ternary":
-            return ("U", math.sqrt(d))
-        if c.kind == "natural":
-            return ("U", 0.125)
-        return ("U", 0.0)
+        spec = CODECS[c.kind]
+        return (spec.variance_class, spec.variance(c, d))
 
     def compress(self, x):
         """Compress one message; advances the message counter."""
@@ -639,56 +701,13 @@ class Operator:
 
     def compress_at(self, x, message_index):
         c = self.config
-        rng = (
-            message_stream(c.seed, message_index)
-            if c.kind in _RANDOMIZED_KINDS
-            else None
-        )
-        if c.kind == "dsd":
-            payload, out = dsd_compress(x, c.nu)
-        elif c.kind == "rsd":
-            payload, out = rsd_compress(x, c.nu, rng)
-        elif c.kind == "sc":
-            payload, out = sc_compress(x, c.alpha, c.seed, message_index)
-        elif c.kind == "topk":
-            payload, out = topk_compress(x, c.k)
-        elif c.kind == "randsparse":
-            payload, out = random_sparsify(x, c.k, rng)
-        elif c.kind == "dither":
-            payload, out = std_dither(x, c.levels, rng)
-        elif c.kind == "ternary":
-            payload, out = ternary(x, rng)
-        elif c.kind == "natural":
-            payload, out = natural_compress(x, rng)
-        else:
-            payload, out = identity_compress(x)
+        payload, out = CODECS[c.kind].encode(x, c, message_index)
         if c.wrap_omega is not None:
             out = contract_wrap(out, c.wrap_omega, x)
         return payload, out
 
     def decompress(self, bits, d, message_index=0):
-        c = self.config
-        if c.kind == "dsd":
-            rec = dsd_decompress(bits, d)
-        elif c.kind == "rsd":
-            rec = rsd_decompress(bits, d)
-        elif c.kind == "sc":
-            rec = sc_decompress(bits, d, c.alpha, c.seed, message_index)
-        elif c.kind == "topk":
-            rec = topk_decompress(bits, d, c.k)
-        elif c.kind == "randsparse":
-            rec = random_sparsify_decompress(bits, d, c.k)
-        elif c.kind == "dither":
-            rec = std_dither_decompress(bits, d, c.levels)
-        elif c.kind == "ternary":
-            rec = ternary_decompress(bits, d)
-        elif c.kind == "natural":
-            rec = natural_decompress(bits, d)
-        else:
-            rec = identity_decompress(bits, d)
-        if c.wrap_omega is not None:
-            rec = rec / (1.0 + c.wrap_omega)
-        return rec
+        return decode_payload(self.config, bits, d, message_index)
 
 
 def make_operator(config: OperatorConfig) -> Operator:

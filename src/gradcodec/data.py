@@ -5,7 +5,7 @@ Parsed features are stored dense; source files may be sparse.  Feature
 indices in files are 1-based and must be strictly increasing per line.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

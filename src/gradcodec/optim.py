@@ -6,12 +6,13 @@ x_{t+1} = x_t - (1/L) C(grad f(x_t)) from x_0 = 0 and stops when
 ||x_t - x*||^2 / ||x_0 - x*||^2 <= eps.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compressors import Operator, OperatorConfig, make_operator
+from .compressors import CODECS, OperatorConfig, make_operator
 from .data import Dataset, map_binary_labels
 
 DIVERGENCE_GUARD = 1e12
@@ -283,14 +284,14 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
                    max_iter=max_iter, x_star=x_star, L=L)
     gd_iters = base.total_iterations
 
-    deterministic = family in ("topk", "dsd")
     rows = []
     for param in grid:
         iters = []
         bits = []
         statuses = []
-        for r in range(1 if deterministic else repeats):
-            config = sweep_config(family, param, problem.d, seed=seed + r)
+        first = sweep_config(family, param, problem.d, seed=seed)
+        for r in range(repeats if CODECS[first.kind].randomized else 1):
+            config = dataclasses.replace(first, seed=seed + r)
             trace = cgd_run(problem, config, eps=eps, max_iter=max_iter,
                             x_star=x_star, L=L)
             iters.append(trace.total_iterations)

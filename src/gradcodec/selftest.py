@@ -19,8 +19,7 @@ from .bitio import BitCursor
 from .compressors import OperatorConfig, make_operator
 from .data import synth_classification, synth_regression
 from .geometry import CapParams, cap_probability, mc_cap_probability
-from .optim import (cgd_run, iteration_ratio_sweep, make_problem, r_squared,
-                    theoretical_ratio)
+from .optim import cgd_run, iteration_ratio_sweep, make_problem, r_squared
 from .rng import message_stream
 
 # sampling budget (normal draws) above which an SC cell is not runnable

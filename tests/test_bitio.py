@@ -46,31 +46,31 @@ class TestBitString:
         cur = BitCursor(BitString([1, 0]))
         cur.read_bits(2)
         with pytest.raises(TruncatedStreamError):
-            cur.read_bit()
+            cur.read_bits(1)
 
 
 class TestUnary:
     @pytest.mark.parametrize("k,code", [(1, "0"), (3, "110"), (2, "10")])
     def test_examples(self, k, code):
-        assert bitio.write_unary(k).to01() == code
+        assert bitio.write_unary_block([k]).to01() == code
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            bitio.write_unary(0)
+            bitio.write_unary_block([0])
         with pytest.raises(ValueError):
-            bitio.write_unary(-3)
+            bitio.write_unary_block([2, -3])
 
     def test_read_consumes_exactly(self):
-        cur = BitCursor(bitio.write_unary(3) + BitString([1, 1]))
-        assert bitio.read_unary(cur) == 3
+        cur = BitCursor(bitio.write_unary_block([3]) + BitString([1, 1]))
+        assert bitio.read_unary_block(cur, 1).tolist() == [3]
         assert cur.pos == 3
 
     def test_read_single_zero(self):
-        assert bitio.read_unary(BitCursor(BitString([0, 1]))) == 1
+        assert bitio.read_unary_block(BitCursor(BitString([0, 1])), 1).tolist() == [1]
 
     def test_all_ones_truncated(self):
         with pytest.raises(TruncatedStreamError):
-            bitio.read_unary(BitCursor(BitString([1] * 10)))
+            bitio.read_unary_block(BitCursor(BitString([1] * 10)), 1)
 
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=30))
     def test_block_round_trip(self, values):
@@ -94,7 +94,7 @@ class TestFixed:
     @given(st.integers(0, 255), st.integers(8, 16))
     def test_round_trip(self, v, w):
         cur = BitCursor(bitio.write_fixed(v, w))
-        assert bitio.read_fixed(cur, w) == v
+        assert cur.read_bits(w) == v
 
 
 class TestGolombRice:
@@ -212,16 +212,16 @@ class TestFloatMagnitude:
 
     @given(st.floats(-1e6, 1e6))
     def test_signed_float32_round_trip(self, value):
-        cur = BitCursor(bitio.write_float32(value))
-        got = bitio.read_float32(cur)
-        expect = struct.unpack(">f", struct.pack(">f", value))[0]
-        assert got == expect or (math.isnan(got) and math.isnan(expect))
+        cur = BitCursor(bitio.write_float32_block([value]))
+        got = bitio.read_float32_block(cur, 1)[0]
+        assert got == struct.unpack(">f", struct.pack(">f", value))[0]
+        assert cur.remaining() == 0
 
     def test_block_matches_scalar(self):
         values = [0.25, -3.5, 1e-3, 7.0]
         block = bitio.write_float32_block(values)
-        scalar = BitString.concat([bitio.write_float32(v) for v in values])
-        assert block == scalar
+        scalar = b"".join(struct.pack(">f", v) for v in values)
+        assert block == BitString.from_bytes(scalar, 32 * len(values))
         out = bitio.read_float32_block(BitCursor(block), len(values))
         assert out.tolist() == [float(np.float32(v)) for v in values]
 

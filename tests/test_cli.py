@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gradcodec import bitio
-from gradcodec.cli import main
+from gradcodec.cli import _parse_ops_list, main
+from gradcodec.compressors import OperatorConfig
 
 
 def run(args):
@@ -73,7 +74,20 @@ class TestCompressDecompress:
         run(["compress", "--op", "topk", "--k", "2", "--in", str(vec),
              "--out", str(msg)])
         assert run(["decompress", "--in", str(msg)]) == 1
+        assert "decoding a topk message requires --k" in capsys.readouterr().err
         assert run(["decompress", "--in", str(msg), "--k", "2"]) == 0
+
+    def test_wrap_on_decode_needs_unbiased_container(self, tmp_path, capsys):
+        vec = tmp_path / "vec.txt"
+        vec.write_text("3 4\n")
+        for op, flags, code in (("dsd", ["--nu", "0.1"], 3),
+                                ("identity", [], 0)):
+            msg = tmp_path / f"{op}.gcv"
+            assert run(["compress", "--op", op, *flags, "--in", str(vec),
+                        "--out", str(msg)]) == 0
+            capsys.readouterr()
+            assert run(["decompress", "--in", str(msg), "--wrap-omega", "1.0"]) == code
+        assert capsys.readouterr().out.split() == ["1.5", "2.0"]
 
 
 class TestErrorPaths:
@@ -180,6 +194,16 @@ class TestBenchAndSweep:
         assert run(["sweep", "--family", "topk", "--grid", ",",
                     "--dataset", "synth:ridge:d=6,n=12,seed=1",
                     "--out", str(tmp_path)]) == 1
+
+    def test_ops_identity_honours_wrap(self):
+        assert _parse_ops_list("identity", 5) == [("basic", OperatorConfig("identity"))]
+        [(label, config)] = _parse_ops_list("identity:wrap_omega=0.5", 5)
+        assert config == OperatorConfig("identity", wrap_omega=0.5)
+        assert label != "basic"
+
+    def test_ops_identity_rejects_k(self, tmp_path):
+        assert run(["bench", "--dataset", "synth:ridge:d=6,n=24,seed=3",
+                    "--ops", "identity:k=3", "--out", str(tmp_path)]) == 3
 
     def test_eps_one_terminates_immediately(self, tmp_path, capsys):
         outdir = tmp_path / "b"

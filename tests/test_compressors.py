@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from gradcodec import bitio, compressors as comp
 from gradcodec.bitio import BitCursor, BitString
-from gradcodec.compressors import (GiveUpError, OperatorConfig,
+from gradcodec.compressors import (CODECS, GiveUpError, OperatorConfig,
                                    contract_wrap, make_operator)
 from gradcodec.geometry import CapParams, cap_probability
 from gradcodec.rng import message_stream
@@ -141,12 +142,12 @@ class TestRandomizedSparseDithering:
             for i in range(30):
                 x = gen.standard_normal(d)
                 payload, out = comp.rsd_compress(x, 0.25, message_stream(31, i))
-                assert np.array_equal(comp.rsd_decompress(payload, d),
+                assert np.array_equal(comp.dsd_decompress(payload, d),
                                       out.reconstructed)
 
     def test_zero_vector(self):
         payload, out = comp.rsd_compress(np.zeros(5), 0.25, message_stream(1, 0))
-        assert np.array_equal(comp.rsd_decompress(payload, 5), np.zeros(5))
+        assert np.array_equal(comp.dsd_decompress(payload, 5), np.zeros(5))
 
     def test_levels_scale_invariant(self):
         x = message_stream(9, 0).standard_normal(30)
@@ -281,7 +282,7 @@ class TestBaselines:
     def test_random_sparsify_round_trip(self):
         x = message_stream(10, 0).standard_normal(12)
         payload, out = comp.random_sparsify(x, 4, message_stream(61, 5))
-        assert np.array_equal(comp.random_sparsify_decompress(payload, 12, 4),
+        assert np.array_equal(comp.topk_decompress(payload, 12, 4),
                               out.reconstructed)
         assert out.bits == 32 * 4 + bitio.subset_code_width(12, 4)
 
@@ -327,7 +328,7 @@ class TestBaselines:
         norm32 = float(np.float32(np.linalg.norm(x)))
         vals = set(np.round(out.reconstructed / norm32, 9).tolist())
         assert vals <= {-1.0, 0.0, 1.0}
-        assert np.array_equal(comp.ternary_decompress(payload, 8),
+        assert np.array_equal(comp.std_dither_decompress(payload, 8, 1),
                               out.reconstructed)
 
     def test_natural_nine_bits_per_coordinate(self):
@@ -439,7 +440,7 @@ class TestOperator:
     def test_every_kind_round_trips(self):
         d = 24
         x = message_stream(21, 0).standard_normal(d)
-        for config in (
+        configs = {c.kind: c for c in (
             OperatorConfig("dsd", nu=0.1),
             OperatorConfig("rsd", nu=0.25, seed=1),
             OperatorConfig("sc", alpha=0.7, seed=2),
@@ -449,9 +450,17 @@ class TestOperator:
             OperatorConfig("ternary", seed=5),
             OperatorConfig("natural", seed=6),
             OperatorConfig("identity"),
-        ):
+        )}
+        assert configs.keys() == CODECS.keys()
+        for kind, spec in CODECS.items():
+            config = configs[kind]
             op = make_operator(config)
             payload, out = op.compress_at(x, 9)
             rec = op.decompress(payload, d, message_index=9)
-            assert np.array_equal(rec, out.reconstructed), config.label()
+            # bit for bit, so a -0.0 against a decoded +0.0 fails too
+            assert rec.tobytes() == out.reconstructed.tobytes(), config.label()
             assert out.bits == len(payload)
+            reseeded, _ = make_operator(
+                dataclasses.replace(config, seed=config.seed + 1)
+            ).compress_at(x, 9)
+            assert (reseeded != payload) == spec.randomized, config.label()
