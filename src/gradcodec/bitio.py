@@ -71,20 +71,12 @@ class BitString:
             return BitString._wrap(np.empty(0, dtype=np.uint8))
         return BitString._wrap(np.concatenate(arrs))
 
-    def to_int(self):
-        """Interpret the whole string as one MSB-first integer."""
-        n = self._arr.size
-        if n == 0:
-            return 0
-        pad = (-n) % 8
-        padded = np.concatenate([np.zeros(pad, dtype=np.uint8), self._arr])
-        return int.from_bytes(np.packbits(padded).tobytes(), "big")
-
     def to_bytes(self):
         """Pack to bytes, zero-padded at the end to a byte boundary."""
         return np.packbits(self._arr).tobytes()
 
     def to01(self):
+        """The bits as a '0'/'1' string, as __repr__ shows them."""
         return "".join("1" if b else "0" for b in self._arr)
 
     def __add__(self, other):
@@ -317,12 +309,13 @@ def read_float_magnitude(cursor: BitCursor):
 
 
 def write_float32_block(values) -> BitString:
-    """Concatenated binary32 fields for a float array."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size and not np.isfinite(values).all():
-        raise ValueError("values must be finite")
-    raw = values.astype(">f4").tobytes()
-    return BitString.from_bytes(raw, 32 * values.size)
+    """Concatenated binary32 fields for a float array; every value must
+    be finite after rounding to binary32."""
+    with np.errstate(over="ignore"):
+        raw = np.asarray(values, dtype=np.float64).astype(">f4")
+    if raw.size and not np.isfinite(raw).all():
+        raise ValueError("values must be finite in binary32")
+    return BitString.from_bytes(raw.tobytes(), 32 * raw.size)
 
 
 def read_float32_block(cursor: BitCursor, count):

@@ -251,9 +251,9 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     x = _as_vector(x)
     d = x.size
     norm = math.sqrt(float(np.dot(x, x)))
+    norm_field = bitio.write_float_magnitude(norm)
     if norm == 0.0:
-        payload = bitio.write_float_magnitude(0.0)
-        return payload, _outcome(x, np.zeros(d), payload)
+        return norm_field, _outcome(x, np.zeros(d), norm_field)
     params = CapParams(alpha, d)
     p = cap_probability(params)
     m = bitio.golomb_rice_params(p)
@@ -293,7 +293,7 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
         raise GiveUpError(
             f"no accepted point within {cap} trials (alpha={alpha}, d={d})"
         )
-    payload = bitio.write_float_magnitude(norm) + bitio.golomb_rice_encode(T, m)
+    payload = norm_field + bitio.golomb_rice_encode(T, m)
     return payload, _outcome(x, scale * accepted, payload)
 
 
@@ -434,18 +434,21 @@ def ternary(x, rng: np.random.Generator):
 def natural_compress(x, rng: np.random.Generator):
     """Stochastic rounding of each magnitude to a signed power of two,
     9 bits per coordinate (sign plus the 8-bit binary32 exponent field).
+
+    The exponent field holds 2^-126 .. 2^127 and 0, so |x_i| above 2^127
+    is rejected, and |x_i| below 2^-126 rounds between 0 and 2^-126.
     """
     x = _as_vector(x)
     d = x.size
-    mant, ex = np.frexp(np.abs(x))
+    ax = np.abs(x)
+    if ax.max() > 2.0 ** 127:
+        raise ValueError("natural compression needs |x_i| <= 2^127")
+    _, ex = np.frexp(ax)
     lower = ex - 1  # 2^lower <= |x_i| < 2^(lower+1)
     a = np.ldexp(1.0, lower)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(a > 0.0, (np.abs(x) - a) / a, 0.0)
-    up = rng.random(d) < frac
-    exp = lower + up
-    efield = np.clip(exp + 127, 1, 254)
-    efield = np.where(x == 0.0, 0, efield).astype(np.int64)
+    u = rng.random(d)
+    efield = np.where(ax < 2.0 ** -126, u < ax * 2.0 ** 126,
+                      lower + (u < (ax - a) / a) + 127).astype(np.int64)
     sign_bits = (x < 0.0).astype(np.uint8)
 
     bits9 = np.empty((d, 9), dtype=np.uint8)
@@ -680,9 +683,6 @@ class Operator:
     @property
     def tag(self):
         return CODECS[self.config.kind].tag
-
-    def reset(self):
-        self.message_index = 0
 
     def variance_class(self, d):
         """(class, parameter) pair describing the operator's guarantee."""

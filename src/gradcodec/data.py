@@ -100,7 +100,11 @@ def parse_libsvm(text, name="", source=""):
 
 
 def serialize_libsvm(dataset: Dataset):
-    """Inverse of parse_libsvm (zero entries omitted)."""
+    """Inverse of parse_libsvm (zero entries omitted).
+
+    Only tests call it: it is the reference writer that the parser
+    round-trip tests compare against.
+    """
     lines = []
     for i in range(dataset.n):
         parts = [repr(float(dataset.labels[i]))]
@@ -126,18 +130,6 @@ def map_binary_labels(labels):
     if values <= {1.0, 2.0}:
         return np.where(labels == 2.0, -1.0, 1.0)
     raise ValueError(f"cannot map label set {sorted(values)} onto -1/+1")
-
-
-def scale_features(dataset: Dataset):
-    """Per-column scaling onto [-1, 1]; returns a new Dataset."""
-    scale = np.abs(dataset.features).max(axis=0)
-    scale[scale == 0.0] = 1.0
-    return Dataset(
-        features=dataset.features / scale,
-        labels=dataset.labels.copy(),
-        name=dataset.name,
-        source=dataset.source + "+scaled",
-    )
 
 
 def load_dataset(spec):

@@ -129,17 +129,6 @@ def log2_cap_probability(params: CapParams):
     return log2_reg_inc_beta(params.alpha, (params.d - 1) / 2.0, 0.5) - 1.0
 
 
-def sample_unit_sphere(d, rng: np.random.Generator):
-    """Uniform point on the unit sphere in R^d (normalized Gaussian)."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    while True:
-        v = rng.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm > 0.0:
-            return v / norm
-
-
 def sample_unit_sphere_block(d, count, rng: np.random.Generator):
     """`count` uniform unit vectors as a (count, d) array."""
     v = rng.standard_normal((count, d))

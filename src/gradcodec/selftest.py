@@ -1,30 +1,78 @@
-"""Shared measurement batteries for the acceptance suite and the CLI
-self-test.
+"""Acceptance criteria: the measurement batteries and CHECKS, the one
+table of checks that the acceptance suite and `gradcodec selftest` read.
 
-Each helper measures one family of guarantees at a configurable budget
-and returns plain data; callers decide what to assert.  sc_cell_cost
-estimates the sampling work a spherical-compression cell needs, since
-the expected trial count 1/P(alpha, d) grows exponentially in d at
-fixed alpha and some nominal settings are not runnable.
+Thresholds, grids, seeds and budgets are stated here and nowhere else.
+A battery that several checks read runs once per Budget and process:
+its result is cached.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import stats
 
-from . import bounds
+from . import bitio, bounds
 from .bitio import BitCursor
 from .compressors import OperatorConfig, make_operator
 from .data import synth_classification, synth_regression
 from .geometry import CapParams, cap_probability, mc_cap_probability
-from .optim import cgd_run, iteration_ratio_sweep, make_problem, r_squared
+from .optim import (cgd_run, gradient, iteration_ratio_sweep, loss,
+                    make_problem, minimizer, r_squared, smoothness)
 from .rng import message_stream
 
 # sampling budget (normal draws) above which an SC cell is not runnable
 # inside the acceptance-suite time limits
 SC_DRAW_BUDGET = 2.5e8
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Sample sizes of the batteries that take more than about a second.
+
+    The cheaper batteries (ratio fits, ordering, gradient checks, the
+    covering value) always run at their acceptance sizes.
+    """
+
+    roundtrip_dims: tuple
+    roundtrip_messages: int
+    dsd_dims: tuple
+    dsd_messages: int
+    rsd_d: int
+    rsd_messages: int
+    sc_messages: int
+    geometry_trials: int
+
+
+# the acceptance budgets, which `gradcodec selftest` runs by default
+FULL = Budget(roundtrip_dims=(2, 3, 17, 256, 4096), roundtrip_messages=1000,
+              dsd_dims=(100, 1000, 10_000), dsd_messages=200,
+              rsd_d=10_000, rsd_messages=200,
+              sc_messages=10_000, geometry_trials=10**6)
+# `gradcodec selftest --fast`
+FAST = Budget(roundtrip_dims=(2, 3, 17, 64), roundtrip_messages=20,
+              dsd_dims=(100, 1000), dsd_messages=20,
+              rsd_d=1000, rsd_messages=100,
+              sc_messages=2000, geometry_trials=10**5)
+
+DSD_NU = 0.1
+RSD_NU = 0.25
+SC_GRID = [(alpha, d) for d in (3, 10, 50) for alpha in (0.3, 0.5, 0.7)]
+RATIO_GRIDS = {
+    "topk": [i / 10 for i in range(10)],
+    "rsd-wrapped": [0.05, 0.1, 0.25, 0.5, 1.0],
+}
+LOSSES = ("ridge", "logistic")
+# criterion 8: cumulative bits to eps against the uncompressed "basic" run
+ORDERING = {
+    "basic": OperatorConfig("identity"),
+    "dsd": OperatorConfig("dsd", nu=DSD_NU),
+    "rsd": OperatorConfig("rsd", nu=RSD_NU, seed=8),
+    "sc": OperatorConfig("sc", alpha=0.9, seed=8),
+}
+SC_LEG_AS_STATED = CapParams(0.5, 50)
 
 
 @dataclass
@@ -35,8 +83,15 @@ class ConfigStats:
     d: int
     mean_bits: float
     mean_distortion: float
-    messages: int
 
+
+def _config_stats(label, d, measured):
+    """ConfigStats from a list of (bits, distortion) pairs."""
+    bits, dists = np.mean(measured, axis=0)
+    return ConfigStats(label, d, float(bits), float(dists))
+
+
+# --- batteries ----------------------------------------------------------------
 
 def roundtrip_configs(d):
     """One representative configuration per operator kind at dimension d."""
@@ -55,119 +110,75 @@ def roundtrip_configs(d):
     return cfgs
 
 
-def run_roundtrips(dims, per_d, seed=0):
-    """Encode/decode `per_d` random vectors per dimension per operator.
+@functools.cache
+def roundtrip_battery(budget):
+    """Encode/decode random vectors at every budget dimension with every
+    roundtrip_configs operator.
 
     Returns (failures, stats): failures is a list of mismatch
     descriptions (empty when every decode equals the encoder-side
     reconstruction bit for bit and consumes the whole payload), and
     stats holds per-configuration aggregates.
     """
+    n = budget.roundtrip_messages
     failures = []
     all_stats = []
-    gen = message_stream(seed, 900)
-    for d in dims:
-        xs = gen.standard_normal((per_d, d)) * np.exp(gen.standard_normal((per_d, 1)))
+    gen = message_stream(1, 900)
+    for d in budget.roundtrip_dims:
+        xs = gen.standard_normal((n, d)) * np.exp(gen.standard_normal((n, 1)))
         for config in roundtrip_configs(d):
             op = make_operator(config)
-            bits_total = 0.0
-            dist_total = 0.0
-            for i in range(per_d):
+            measured = []
+            for i in range(n):
                 payload, out = op.compress_at(xs[i], i)
-                rec = op.decompress(payload, d, message_index=i)
-                if not np.array_equal(rec, out.reconstructed):
-                    failures.append(
-                        f"{config.label()} d={d} msg={i}: decode != encoder reconstruction"
-                    )
+                where = f"{config.label()} d={d} msg={i}"
+                if not np.array_equal(op.decompress(payload, d, message_index=i),
+                                      out.reconstructed):
+                    failures.append(f"{where}: decode != encoder reconstruction")
                 if out.bits != len(payload):
-                    failures.append(
-                        f"{config.label()} d={d} msg={i}: bits {out.bits} != payload {len(payload)}"
-                    )
-                bits_total += out.bits
-                dist_total += out.distortion
-            all_stats.append(ConfigStats(
-                label=config.label(),
-                d=d,
-                mean_bits=bits_total / per_d,
-                mean_distortion=dist_total / per_d,
-                messages=per_d,
-            ))
+                    failures.append(f"{where}: bits {out.bits} != payload {len(payload)}")
+                measured.append((out.bits, out.distortion))
+            all_stats.append(_config_stats(config.label(), d, measured))
     return failures, all_stats
 
 
-def run_dsd_bits(dims, per_d, nu=0.1, seed=0):
-    """Worst observed bits/distortion of deterministic sparse dithering
-    on random unit vectors, per dimension."""
-    gen = message_stream(seed, 901)
-    results = []
-    op_stats = []
-    for d in dims:
-        worst_bits = 0
-        worst_dist = 0.0
-        mean_bits = 0.0
-        mean_dist = 0.0
-        op = make_operator(OperatorConfig("dsd", nu=nu))
-        for i in range(per_d):
+@functools.cache
+def dsd_battery(budget):
+    """Deterministic sparse dithering on random unit vectors: one
+    (d, worst bits, worst distortion, stats) row per budget dimension."""
+    gen = message_stream(2, 901)
+    rows = []
+    for d in budget.dsd_dims:
+        op = make_operator(OperatorConfig("dsd", nu=DSD_NU))
+        measured = []
+        for i in range(budget.dsd_messages):
             x = gen.standard_normal(d)
-            x /= np.linalg.norm(x)
-            _, out = op.compress_at(x, i)
-            worst_bits = max(worst_bits, out.bits)
-            worst_dist = max(worst_dist, out.distortion)
-            mean_bits += out.bits
-            mean_dist += out.distortion
-        bound = 30.0 + math.log2(d) + bounds.dsd_beta(nu) * d
-        results.append({
-            "d": d,
-            "worst_bits": worst_bits,
-            "worst_distortion": worst_dist,
-            "bound_bits": bound,
-        })
-        op_stats.append(ConfigStats(
-            label=f"dsd(nu={nu:g})@unit",
-            d=d,
-            mean_bits=mean_bits / per_d,
-            mean_distortion=mean_dist / per_d,
-            messages=per_d,
-        ))
-    return results, op_stats
+            _, out = op.compress_at(x / np.linalg.norm(x), i)
+            measured.append((out.bits, out.distortion))
+        worst_bits, worst_dist = np.max(measured, axis=0)
+        rows.append((d, int(worst_bits), float(worst_dist),
+                     _config_stats(f"dsd(nu={DSD_NU:g})@unit", d, measured)))
+    return rows
 
 
-def run_rsd(d, messages, nu=0.25, seed=0):
-    """Mean bits, savings, and unbiasedness statistics for randomized
-    sparse dithering at one dimension.
-
-    Unbiasedness is measured on a fixed vector across `messages`
-    independent streams: per-coordinate t statistics against the
-    empirical standard error, plus the chi-square aggregate sum(t^2)
-    (mean 1 per coordinate when the operator is unbiased).
+@functools.cache
+def rsd_battery(budget):
+    """Randomized sparse dithering of one fixed vector over independent
+    streams: returns (stats, per-coordinate |t|), where t is the mean
+    reconstruction's deviation in units of its empirical standard error.
     """
-    x = message_stream(seed, 902).standard_normal(d)
-    op = make_operator(OperatorConfig("rsd", nu=nu, seed=seed))
-    recs = np.empty((messages, d))
-    bits = np.empty(messages)
-    dists = np.empty(messages)
-    for i in range(messages):
+    d, n = budget.rsd_d, budget.rsd_messages
+    x = message_stream(3, 902).standard_normal(d)
+    op = make_operator(OperatorConfig("rsd", nu=RSD_NU, seed=3))
+    recs = np.empty((n, d))
+    measured = []
+    for i in range(n):
         _, out = op.compress_at(x, i)
         recs[i] = out.reconstructed
-        bits[i] = out.bits
-        dists[i] = out.distortion
-    mean = recs.mean(axis=0)
-    se = recs.std(axis=0, ddof=1) / math.sqrt(messages)
-    t = np.abs(mean - x) / np.where(se == 0.0, np.inf, se)
-    chi2 = float((t ** 2).sum())
-    mean_bits = float(bits.mean())
-    return {
-        "d": d,
-        "mean_bits": mean_bits,
-        "bound_bits": bounds.rsd_predicted_bits(nu, d),
-        "savings": bounds.savings_factor(nu, mean_bits, d),
-        "max_t": float(t.max()),
-        "n_above_4se": int((t > 4.0).sum()),
-        "chi2": chi2,
-        "chi2_limit": d + 4.0 * math.sqrt(2.0 * d),
-        "stats": ConfigStats(f"rsd(nu={nu:g})", d, mean_bits,
-                             float(dists.mean()), messages),
-    }
+        measured.append((out.bits, out.distortion))
+    se = recs.std(axis=0, ddof=1) / math.sqrt(n)
+    t = np.abs(recs.mean(axis=0) - x) / np.where(se == 0.0, np.inf, se)
+    return _config_stats(f"rsd(nu={RSD_NU:g})", d, measured), t
 
 
 def geometric_chi2_pvalue(samples, p, min_expected=5.0):
@@ -179,16 +190,8 @@ def geometric_chi2_pvalue(samples, p, min_expected=5.0):
     edges = np.unique(qs[qs >= 1])
     # bins: [1, e0], (e0, e1], ..., (e_last, inf)
     uppers = list(edges) + [None]
-    probs = []
-    lower = 0
-    for up in uppers:
-        if up is None:
-            probs.append(1.0 - stats.geom.cdf(lower, p))
-        else:
-            probs.append(stats.geom.cdf(up, p) - stats.geom.cdf(lower, p))
-            lower = up
-    probs = np.asarray(probs)
-    # merge adjacent bins until every expected count is large enough
+    probs = np.diff(np.concatenate([[0.0], stats.geom.cdf(edges, p), [1.0]]))
+    # merge each bin into the next until its expected count is large enough
     merged_probs = []
     merged_uppers = []
     acc = 0.0
@@ -198,15 +201,11 @@ def geometric_chi2_pvalue(samples, p, min_expected=5.0):
             merged_probs.append(acc)
             merged_uppers.append(up)
             acc = 0.0
-    if acc > 0.0 and merged_probs:
-        merged_probs[-1] += acc
     if len(merged_probs) < 2:
         return 1.0
-    finite_edges = np.asarray(
-        [u for u in merged_uppers if u is not None], dtype=np.int64
-    )
     observed = np.bincount(
-        np.searchsorted(finite_edges, samples, side="left"),
+        np.searchsorted(np.asarray(merged_uppers[:-1], dtype=np.int64), samples,
+                        side="left"),
         minlength=len(merged_probs),
     ).astype(np.float64)
     expected = np.asarray(merged_probs) * n
@@ -220,138 +219,200 @@ def sc_cell_cost(alpha, d, messages):
     return messages * d / p
 
 
-def run_sc_cell(alpha, d, messages, seed=0):
-    """Full spherical-compression battery for one (alpha, d) cell:
-    payload-bit sandwich inputs, per-message strict contraction, and the
-    trial-count sample for the geometric fit."""
-    p = cap_probability(CapParams(alpha, d))
-    op = make_operator(OperatorConfig("sc", alpha=alpha, seed=seed))
-    gen = message_stream(seed, 903)
-    payload_bits = np.empty(messages)
-    trial_counts = np.empty(messages, dtype=np.int64)
-    contraction_violations = 0
-    dist_total = 0.0
-    m = None
-    from . import bitio
-
-    for i in range(messages):
-        x = gen.standard_normal(d)
-        payload, out = op.compress_at(x, i)
-        payload_bits[i] = out.bits - 31
-        dist_total += out.distortion
-        if out.distortion > alpha:
-            contraction_violations += 1
-        cursor = BitCursor(payload)
-        bitio.read_float_magnitude(cursor)
-        if m is None:
-            m = bitio.golomb_rice_params(p)
-        trial_counts[i] = bitio.golomb_rice_decode(cursor, m)
-    lower = -math.log2(p)
-    return {
-        "alpha": alpha,
-        "d": d,
-        "p": p,
-        "mean_payload_bits": float(payload_bits.mean()),
-        "lower": lower,
-        "upper": lower + 3.0,
-        "contraction_violations": contraction_violations,
-        "chi2_pvalue": geometric_chi2_pvalue(trial_counts, p),
-        "mean_trials": float(trial_counts.mean()),
-        "stats": ConfigStats(f"sc(alpha={alpha:g})", d,
-                             float(payload_bits.mean()) + 31.0,
-                             dist_total / messages, messages),
-    }
+@functools.cache
+def sc_battery(budget):
+    """Spherical compression on every SC_GRID cell that fits
+    SC_DRAW_BUDGET: the payload-bit sandwich inputs, per-message strict
+    contraction, and the trial-count sample's geometric fit."""
+    seed = 4
+    cells = {}
+    for alpha, d in SC_GRID:
+        if sc_cell_cost(alpha, d, budget.sc_messages) > SC_DRAW_BUDGET:
+            continue
+        p = cap_probability(CapParams(alpha, d))
+        m = bitio.golomb_rice_params(p)
+        op = make_operator(OperatorConfig("sc", alpha=alpha, seed=seed))
+        gen = message_stream(seed, 903)
+        measured = []
+        trial_counts = np.empty(budget.sc_messages, dtype=np.int64)
+        for i in range(budget.sc_messages):
+            payload, out = op.compress_at(gen.standard_normal(d), i)
+            measured.append((out.bits, out.distortion))
+            cursor = BitCursor(payload)
+            bitio.read_float_magnitude(cursor)
+            trial_counts[i] = bitio.golomb_rice_decode(cursor, m)
+        cell_stats = _config_stats(f"sc(alpha={alpha:g})", d, measured)
+        cells[(alpha, d)] = {
+            "stats": cell_stats,
+            "mean_payload_bits": cell_stats.mean_bits - 31.0,
+            "lower": -math.log2(p),
+            "contraction_violations": sum(dist > alpha for _, dist in measured),
+            "chi2_pvalue": geometric_chi2_pvalue(trial_counts, p),
+        }
+    return cells
 
 
-def run_geometry_cell(alpha, d, trials, seed=0):
-    """Closed-form vs Monte-Carlo cap probability for one cell."""
-    params = CapParams(alpha, d)
-    exact = cap_probability(params)
-    estimate, _ = mc_cap_probability(params, trials, message_stream(seed, 904))
-    # the tolerance uses the exact p, so cells with vanishing caps stay testable
-    tol = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
-    return {
-        "alpha": alpha,
-        "d": d,
-        "exact": exact,
-        "estimate": estimate,
-        "tolerance": tol,
-        "ok": abs(exact - estimate) <= tol,
-    }
+@functools.cache
+def problem(loss_kind):
+    """The pinned d=50, n=200 synthetic problem of criteria 7 and 8."""
+    if loss_kind == "ridge":
+        return make_problem(synth_regression(50, 200, 0.1, 7), "ridge")
+    return make_problem(synth_classification(50, 200, 0.5, 7), "logistic")
 
 
-def eq1_margin(stats_list, floor=2.0 ** -64):
-    """Worst margin of the uncertainty-principle check across collected
-    configuration aggregates.
-
-    For each configuration, mean bits must be at least
-    (d/2) log2(1 / alpha_measured); distortions at or below `floor`
-    (exact reconstructions in finite precision) are clamped to the
-    floor.  Returns (worst_margin, offender) where a positive margin
-    means the bound held.
-    """
-    worst = math.inf
-    offender = None
-    for cs in stats_list:
-        alpha_m = max(cs.mean_distortion, floor)
-        if alpha_m >= 1.0:
-            continue  # the bound is vacuous (nonpositive)
-        required = 0.5 * cs.d * math.log2(1.0 / alpha_m)
-        margin = cs.mean_bits - required
-        if margin < worst:
-            worst = margin
-            offender = f"{cs.label} d={cs.d}: bits {cs.mean_bits:.1f} vs required {required:.1f}"
-    return worst, offender
-
-
-def make_ridge_problem(d=50, n=200, seed=7):
-    return make_problem(synth_regression(d, n, 0.1, seed), "ridge")
-
-
-def make_logistic_problem(d=50, n=200, seed=7):
-    return make_problem(synth_classification(d, n, 0.5, seed), "logistic")
-
-
-def run_ratio_fit(problem, family, grid, repeats=3, eps=1e-4, seed=0):
-    """Iteration-ratio sweep plus its fit against the parameter-free law."""
-    rows, gd_iters = iteration_ratio_sweep(
-        problem, family, grid, eps=eps, seed=seed, repeats=repeats
+@functools.cache
+def ratio_fit(family):
+    """Iteration-ratio sweep over RATIO_GRIDS[family] on the ridge
+    problem; returns (rows, R^2 against the parameter-free law)."""
+    rows, _ = iteration_ratio_sweep(
+        problem("ridge"), family, RATIO_GRIDS[family], eps=1e-4, seed=7, repeats=3
     )
-    measured = [r["ratio"] for r in rows]
-    predicted = [r["predicted_ratio"] for r in rows]
-    return {
-        "family": family,
-        "rows": rows,
-        "gd_iterations": gd_iters,
-        "r2": r_squared(measured, predicted),
-    }
+    fit = r_squared([r["ratio"] for r in rows], [r["predicted_ratio"] for r in rows])
+    return rows, fit
 
 
-def run_ordering(problem, sc_alpha, eps=1e-4, seed=0):
-    """Cumulative bits to eps for the compared operators vs the 32d/iter
-    baseline; returns {label: (bits, status)}."""
-    x_star = None
-    out = {}
-    configs = [
-        ("basic", OperatorConfig("identity")),
-        ("dsd", OperatorConfig("dsd", nu=0.1)),
-        ("rsd", OperatorConfig("rsd", nu=0.25, seed=seed)),
-        ("sc", OperatorConfig("sc", alpha=sc_alpha, seed=seed)),
-    ]
-    from .optim import minimizer, smoothness
-    L = smoothness(problem)
-    x_star = minimizer(problem)
-    for label, config in configs:
-        trace = cgd_run(problem, config, eps=eps, x_star=x_star, L=L)
-        out[label] = (trace.total_bits, trace.status)
-    return out
+@functools.cache
+def ordering_battery(loss_kind):
+    """One CGD trace to eps=1e-4 per ORDERING configuration."""
+    prob = problem(loss_kind)
+    L = smoothness(prob)
+    x_star = minimizer(prob)
+    return {label: cgd_run(prob, config, eps=1e-4, x_star=x_star, L=L)
+            for label, config in ORDERING.items()}
 
 
-def run_gradient_checks(n_instances=100, n_pairs=1000, seed=0):
+# --- the checks ---------------------------------------------------------------
+# Each takes the Budget last and returns (ok, detail).
+
+def _roundtrip_exactness(budget):
+    failures, all_stats = roundtrip_battery(budget)
+    detail = (f"{len(all_stats)} configurations x {budget.roundtrip_messages} "
+              f"messages, {len(failures)} mismatches")
+    return not failures, detail + "".join(f"; {f}" for f in failures[:5])
+
+
+def _dsd_bound(budget):
+    rows = [(d, bits, bounds.dsd_predicted_bits(DSD_NU, d) + 2, dist)
+            for d, bits, dist, _ in dsd_battery(budget)]
+    ok = all(bits <= limit and dist <= DSD_NU for _, bits, limit, dist in rows)
+    return ok, "; ".join(f"d={d}: bits {bits} <= {limit:.0f}, dist {dist:.4f} <= {DSD_NU}"
+                         for d, bits, limit, dist in rows)
+
+
+def _rsd_bits(budget):
+    cs, _ = rsd_battery(budget)
+    limit = bounds.rsd_predicted_bits(RSD_NU, cs.d)
+    savings = bounds.savings_factor(RSD_NU, cs.mean_bits, cs.d)
+    return cs.mean_bits <= limit and savings >= 9.5, (
+        f"mean bits {cs.mean_bits:.0f} <= {limit:.0f}, savings {savings:.2f} >= 9.5")
+
+
+def _rsd_per_coordinate(budget):
+    _, t = rsd_battery(budget)
+    return t.max() <= 4.0, (f"per-coordinate max |t| = {t.max():.2f} <= 4 "
+                            f"({(t > 4.0).sum()} of {t.size} coordinates above 4 SE)")
+
+
+def _rsd_aggregate(budget):
+    _, t = rsd_battery(budget)
+    chi2, limit = (t ** 2).sum(), t.size + 4.0 * math.sqrt(2.0 * t.size)
+    return chi2 <= limit, f"aggregate sum(t^2) = {chi2:.0f} <= {limit:.0f}"
+
+
+def _sc_sandwich(alpha, d, budget):
+    cell = sc_battery(budget).get((alpha, d))
+    if cell is None:
+        p = cap_probability(CapParams(alpha, d))
+        return False, (f"not runnable: P = {p:.3e}, so {budget.sc_messages} messages "
+                       f"need about {sc_cell_cost(alpha, d, budget.sc_messages):.2e} "
+                       f"Gaussian draws (1/P = {1 / p:.2e} trials per message)")
+    bits, lower = cell["mean_payload_bits"], cell["lower"]
+    ok = (lower <= bits < lower + 3.0 and cell["contraction_violations"] == 0
+          and cell["chi2_pvalue"] >= 1e-3)
+    return ok, (f"payload {bits:.2f} in [{lower:.2f}, {lower + 3.0:.2f}), "
+                f"{cell['contraction_violations']} contraction violations, "
+                f"geometric fit p = {cell['chi2_pvalue']:.3g} >= 0.001")
+
+
+def _geometry(budget):
+    trials = budget.geometry_trials
+    worst = 0.0
+    for alpha, d in SC_GRID:
+        params = CapParams(alpha, d)
+        exact = cap_probability(params)
+        estimate, _ = mc_cap_probability(params, trials, message_stream(5, 904))
+        # the tolerance uses the exact p, so cells with vanishing caps stay testable
+        tolerance = 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
+        worst = max(worst, abs(exact - estimate) / tolerance)
+    closed_forms = (
+        abs(cap_probability(CapParams(0.5, 3)) - 0.5 * (1 - math.sqrt(0.5))) <= 1e-9
+        and abs(cap_probability(CapParams(0.5, 2)) - 0.25) <= 1e-9
+    )
+    return worst <= 1.0 and closed_forms, (
+        f"worst |error|/tolerance = {worst:.2f} <= 1 over {len(SC_GRID)} cells, "
+        f"closed forms at d=2,3 {'match' if closed_forms else 'differ'}")
+
+
+def _eq1_floor(budget):
+    """Mean bits of every measured configuration against the
+    uncertainty principle (d/2) log2(1/alpha_measured); distortions at
+    or below `floor` (exact reconstructions in finite precision) are
+    clamped to it, and alpha_measured >= 1 makes the bound vacuous."""
+    floor = 2.0 ** -64
+    all_stats = list(roundtrip_battery(budget)[1])
+    all_stats += [row[-1] for row in dsd_battery(budget)]
+    all_stats.append(rsd_battery(budget)[0])
+    all_stats += [cell["stats"] for cell in sc_battery(budget).values()]
+    margin, offender = math.inf, None
+    for cs in all_stats:
+        alpha_m = max(cs.mean_distortion, floor)
+        required = 0.5 * cs.d * math.log2(1.0 / alpha_m)
+        if alpha_m < 1.0 and cs.mean_bits - required < margin:
+            margin = cs.mean_bits - required
+            offender = f"{cs.label} d={cs.d}: bits {cs.mean_bits:.1f} vs required {required:.1f}"
+    return margin >= 0.0, (f"worst margin {margin:.1f} bits over {len(all_stats)} "
+                           f"configurations ({offender})")
+
+
+def _topk_fit(budget):
+    rows, fit = ratio_fit("topk")
+    measured = [round(r["ratio"], 2) for r in rows]
+    return fit >= 0.9, f"top-k R^2 = {fit:.3f} >= 0.9 (measured ratios {measured})"
+
+
+def _topk_upper(budget):
+    rows, _ = ratio_fit("topk")
+    ok = (all(r["status"] == "converged"
+              and r["ratio"] <= r["predicted_ratio"] * 1.1 + 0.2 for r in rows)
+          and rows[-1]["ratio"] > rows[0]["ratio"])
+    return ok, "top-k ratios within 1.1 x 1/(1-alpha) + 0.2 and increasing"
+
+
+def _wrapped_rsd_fit(budget):
+    rows, fit = ratio_fit("rsd-wrapped")
+    ok = all(r["status"] == "converged" for r in rows) and fit >= 0.9
+    return ok, f"wrapped RSD R^2 = {fit:.3f} >= 0.9"
+
+
+def _beats_baseline(loss_kind, label, budget):
+    runs = ordering_battery(loss_kind)
+    base, run = runs["basic"], runs[label]
+    ok = base.status == run.status == "converged" and run.total_bits < base.total_bits
+    return ok, (f"{loss_kind}/{ORDERING[label].label()}: {run.total_bits} bits "
+                f"({run.status}) < {base.total_bits} baseline bits")
+
+
+def _sc_leg_as_stated(budget):
+    per_message = 1.0 / cap_probability(SC_LEG_AS_STATED)
+    return False, (f"not runnable: sc(alpha={SC_LEG_AS_STATED.alpha}) at "
+                   f"d={SC_LEG_AS_STATED.d} needs 1/P = {per_message:.2e} sphere samples "
+                   f"per message (about {per_message * SC_LEG_AS_STATED.d:.1e} Gaussian draws)")
+
+
+def _gradients(budget):
     """Finite-difference gradient errors and the Lipschitz margin of the
     computed smoothness constant on random problems."""
-    from .optim import gradient, loss, smoothness
-
+    n_instances, n_pairs, seed = 100, 1000, 9
     gen = message_stream(seed, 905)
     worst_rel = 0.0
     for i in range(n_instances):
@@ -375,20 +436,92 @@ def run_gradient_checks(n_instances=100, n_pairs=1000, seed=0):
         worst_rel = max(worst_rel, float(rel))
 
     ds = synth_regression(20, 60, 0.5, seed + 17)
-    lightest = math.inf
+    margin = math.inf
     for kind in ("ridge", "logistic"):
         prob = make_problem(ds if kind == "ridge" else
                             synth_classification(20, 60, 0.2, seed + 18), kind)
         L = smoothness(prob)
-        from .optim import gradient as grad_fn
         gen2 = message_stream(seed, 906)
         for _ in range(n_pairs // 2):
             x = gen2.standard_normal(prob.d)
             y = gen2.standard_normal(prob.d)
-            gx = grad_fn(prob, x)
-            gy = grad_fn(prob, y)
-            lhs = np.linalg.norm(gx - gy)
+            lhs = np.linalg.norm(gradient(prob, x) - gradient(prob, y))
             rhs = L * np.linalg.norm(x - y)
             if rhs > 0:
-                lightest = min(lightest, float(rhs - lhs))
-    return {"worst_fd_rel_err": worst_rel, "lipschitz_min_margin": lightest}
+                margin = min(margin, float(rhs - lhs))
+    return worst_rel <= 1e-5 and margin >= 0.0, (
+        f"worst finite-difference relative error {worst_rel:.2e} <= 1e-5, "
+        f"Lipschitz margin {margin:.2e} >= 0")
+
+
+def _covering(budget):
+    val = bounds.covering_bound_rhs(1000)
+    return 1.04 <= val <= 1.06, f"(1600 d^2 log d)^(2/d) at d=1000 is {val:.4f} in [1.04, 1.06]"
+
+
+# --- the table ----------------------------------------------------------------
+
+PER_COORDINATE_REASON = (
+    "with a few hundred draws of discrete coordinate laws the empirical-SE "
+    "t statistic is heavy tailed, so this gate rejects the exactly unbiased "
+    "operator for every seed; the calibrated aggregate confirms unbiasedness."
+)
+SC_CELL_REASON = (
+    f"a cell above {SC_DRAW_BUDGET:.1e} expected Gaussian draws cannot fit the "
+    "criterion's 3-minute budget on any commodity machine; every runnable "
+    "cell of the grid is checked in full."
+)
+TOPK_REASON = (
+    "top-k contracts generic gradients far better than its worst-case label "
+    "alpha = 1-k/d, so its ratios stay below 1/(1-alpha) and the fit cannot "
+    "reach 0.9; the law holds as an upper bound, and the wrapped-RSD check "
+    "verifies it with an operator that attains its nominal contraction."
+)
+SC_LEG_REASON = (
+    "at 1/P sphere samples per message a CGD run of tens of iterations cannot "
+    f"fit the criterion's 2-minute budget; the {ORDERING['sc'].label()} legs "
+    "verify the ordering at a tractable cost."
+)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One acceptance check: run(budget) -> (ok, detail).
+
+    `reason` is set only on the checks that fail by design, because
+    their stated parameters are not attainable, and says why.
+    """
+
+    number: int
+    run: Callable
+    reason: str = None
+
+
+CHECKS = {
+    "round-trip exactness": Check(1, _roundtrip_exactness),
+    "deterministic SD bit bound and distortion": Check(2, _dsd_bound),
+    "randomized SD bit bound and savings": Check(3, _rsd_bits),
+    "randomized SD per-coordinate unbiasedness as stated":
+        Check(3, _rsd_per_coordinate, PER_COORDINATE_REASON),
+    "randomized SD calibrated unbiasedness aggregate": Check(3, _rsd_aggregate),
+    **{f"SC sandwich alpha={alpha} d={d}":
+       Check(4, functools.partial(_sc_sandwich, alpha, d),
+             None if sc_cell_cost(alpha, d, FULL.sc_messages) <= SC_DRAW_BUDGET
+             else SC_CELL_REASON)
+       for alpha, d in SC_GRID},
+    "geometry Monte-Carlo oracle": Check(5, _geometry),
+    "uncertainty-principle floor": Check(6, _eq1_floor),
+    "top-k ratio law as stated": Check(7, _topk_fit, TOPK_REASON),
+    "top-k inflation below the law": Check(7, _topk_upper),
+    "wrapped RSD ratio law": Check(7, _wrapped_rsd_fit),
+    **{f"{label} beats the baseline on {loss_kind}":
+       Check(8, functools.partial(_beats_baseline, loss_kind, label))
+       for loss_kind in LOSSES for label in ("dsd", "rsd")},
+    **{f"sc(alpha={SC_LEG_AS_STATED.alpha}) leg on {loss_kind} as stated":
+       Check(8, _sc_leg_as_stated, SC_LEG_REASON) for loss_kind in LOSSES},
+    **{f"{ORDERING['sc'].label()} leg on {loss_kind}":
+       Check(8, functools.partial(_beats_baseline, loss_kind, "sc"))
+       for loss_kind in LOSSES},
+    "gradients and smoothness constants": Check(9, _gradients),
+    "covering-bound value at d=1000": Check(10, _covering),
+}

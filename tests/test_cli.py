@@ -148,6 +148,14 @@ class TestBoundsCommand:
         assert run(["bounds", "--alpha", "", "--d", "10"]) == 1
 
 
+class TestSelftest:
+    def test_fast_passes_every_gate(self, capsys):
+        assert run(["selftest", "--fast"]) == 0
+        numbers = {int(line.split()[1]) for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("criterion")}
+        assert numbers == set(range(1, 11))
+
+
 class TestBenchAndSweep:
     def test_bench_writes_csv_and_svg(self, tmp_path, capsys):
         outdir = tmp_path / "bench"

@@ -12,6 +12,20 @@ from gradcodec.geometry import CapParams, cap_probability
 from gradcodec.rng import message_stream
 
 
+# one configuration per operator kind, for d = 24
+CONFIGS = {c.kind: c for c in (
+    OperatorConfig("dsd", nu=0.1),
+    OperatorConfig("rsd", nu=0.25, seed=1),
+    OperatorConfig("sc", alpha=0.7, seed=2),
+    OperatorConfig("topk", k=6),
+    OperatorConfig("randsparse", k=6, seed=3),
+    OperatorConfig("dither", levels=5, seed=4),
+    OperatorConfig("ternary", seed=5),
+    OperatorConfig("natural", seed=6),
+    OperatorConfig("identity"),
+)}
+
+
 def sd_bit_formula(d, n0, levels_sum):
     return (31 + d.bit_length() + bitio.subset_code_width(d, n0)
             + (d - n0) + levels_sum)
@@ -366,6 +380,22 @@ class TestBaselines:
         assert out.reconstructed[0] == 0.0 and out.reconstructed[2] == 0.0
         assert out.reconstructed[1] == 2.0  # exact power of two is kept
 
+    def test_natural_unbiased_below_normal_range(self):
+        # below 2^-126 the exponent field rounds between 0 and 2^-126
+        x = np.array([1e-40, -3e-39])
+        n = 4000
+        recs = np.array([comp.natural_compress(x, message_stream(69, i))[1].reconstructed
+                         for i in range(n)])
+        assert set(np.abs(recs).ravel()) <= {0.0, 2.0 ** -126}
+        se = recs.std(axis=0, ddof=1) / math.sqrt(n)
+        assert (np.abs(recs.mean(axis=0) - x) <= 4.0 * se).all()
+
+    def test_natural_exponent_range(self):
+        _, out = comp.natural_compress([2.0 ** 127, 2.0 ** -126], message_stream(70, 0))
+        assert list(out.reconstructed) == [2.0 ** 127, 2.0 ** -126]
+        with pytest.raises(ValueError):
+            comp.natural_compress([3e38], message_stream(70, 1))
+
     def test_identity(self):
         x = np.array([1.5, -2.25, 3.1])
         payload, out = comp.identity_compress(x)
@@ -440,20 +470,9 @@ class TestOperator:
     def test_every_kind_round_trips(self):
         d = 24
         x = message_stream(21, 0).standard_normal(d)
-        configs = {c.kind: c for c in (
-            OperatorConfig("dsd", nu=0.1),
-            OperatorConfig("rsd", nu=0.25, seed=1),
-            OperatorConfig("sc", alpha=0.7, seed=2),
-            OperatorConfig("topk", k=6),
-            OperatorConfig("randsparse", k=6, seed=3),
-            OperatorConfig("dither", levels=5, seed=4),
-            OperatorConfig("ternary", seed=5),
-            OperatorConfig("natural", seed=6),
-            OperatorConfig("identity"),
-        )}
-        assert configs.keys() == CODECS.keys()
+        assert CONFIGS.keys() == CODECS.keys()
         for kind, spec in CODECS.items():
-            config = configs[kind]
+            config = CONFIGS[kind]
             op = make_operator(config)
             payload, out = op.compress_at(x, 9)
             rec = op.decompress(payload, d, message_index=9)
@@ -464,3 +483,10 @@ class TestOperator:
                 dataclasses.replace(config, seed=config.seed + 1)
             ).compress_at(x, 9)
             assert (reseeded != payload) == spec.randomized, config.label()
+
+    @pytest.mark.parametrize("kind", CODECS)
+    def test_rejects_binary32_overflow(self, kind):
+        # every coordinate is sent or scales a sent field, for every kind
+        x = np.full(24, 1e39)
+        with pytest.raises(ValueError):
+            make_operator(CONFIGS[kind]).compress_at(x, 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcodec.data import (ParseError, load_dataset,
-                            map_binary_labels, parse_libsvm, scale_features,
+                            map_binary_labels, parse_libsvm,
                             serialize_libsvm, synth_classification,
                             synth_regression)
 from gradcodec.optim import loss, make_problem, minimizer
@@ -107,11 +107,6 @@ class TestSynthetic:
         # a positive margin keeps every per-sample logistic loss under log 2
         prob = make_problem(ds, "logistic", lam=0.0)
         assert loss(prob, w) < math.log(2.0)
-
-    def test_scale_features(self):
-        ds = synth_regression(4, 10, 0.1, 5)
-        scaled = scale_features(ds)
-        assert np.abs(scaled.features).max() <= 1.0 + 1e-12
 
 
 class TestLoadDataset:

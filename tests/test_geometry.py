@@ -8,8 +8,7 @@ from scipy.special import betainc as scipy_betainc
 
 from gradcodec.geometry import (CapParams, cap_probability,
                                 log2_cap_probability, mc_cap_probability,
-                                reg_inc_beta, sample_unit_sphere,
-                                sample_unit_sphere_block)
+                                reg_inc_beta, sample_unit_sphere_block)
 from gradcodec.rng import message_stream
 
 # closed form for a = 1: I_p(1, 1/2) = 2(1 - sqrt(1-p)) / B(1, 1/2), B = 2
@@ -100,12 +99,12 @@ class TestSphereSampling:
     def test_unit_norm(self):
         rng = message_stream(1, 0)
         for d in (1, 2, 7, 100):
-            v = sample_unit_sphere(d, rng)
+            v = sample_unit_sphere_block(d, 1, rng)[0]
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
     def test_d1_is_signs(self):
         rng = message_stream(2, 0)
-        vals = {float(sample_unit_sphere(1, rng)[0]) for _ in range(200)}
+        vals = {float(sample_unit_sphere_block(1, 1, rng)[0, 0]) for _ in range(200)}
         assert vals == {-1.0, 1.0}
 
     def test_mean_concentration(self):
