@@ -90,17 +90,12 @@ def savings_factor(omega, expected_bits, d):
     return FLOAT_BITS_PER_COORD * d / ((1.0 + omega) * expected_bits)
 
 
-def covering_bound_rhs(d, natural_log=False):
-    """Right-hand side (1600 d^2 log d)^(2/d) of the covering-construction
-    bound; about 1.047 at d = 1000 and approaching 1 as d grows.
-
-    Base-2 log by default; natural_log=True evaluates the ln variant
-    (covering densities are naturally stated in nats).
-    """
+def covering_bound_rhs(d):
+    """Right-hand side (1600 d^2 log2 d)^(2/d) of the covering-construction
+    bound; about 1.048 at d = 1000 and approaching 1 as d grows."""
     if d < 3:
         raise ValueError(f"dimension must be >= 3, got {d}")
-    logd = math.log(d) if natural_log else math.log2(d)
-    return (1600.0 * d * d * logd) ** (2.0 / d)
+    return (1600.0 * d * d * math.log2(d)) ** (2.0 / d)
 
 
 @dataclass(frozen=True)

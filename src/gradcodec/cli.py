@@ -244,8 +244,7 @@ def cmd_bench(args):
             ("basic", BASIC),
             ("dsd(nu=0.1)", OperatorConfig("dsd", nu=0.1)),
             ("rsd(nu=0.25)", OperatorConfig("rsd", nu=0.25, seed=seed)),
-            ("sc(alpha=%g)" % args.sc_alpha,
-             OperatorConfig("sc", alpha=args.sc_alpha, seed=seed)),
+            ("sc(alpha=0.9)", OperatorConfig("sc", alpha=0.9, seed=seed)),
             ("dither(s=%d)" % max(1, round(math.sqrt(d))),
              OperatorConfig("dither", levels=max(1, round(math.sqrt(d))), seed=seed)),
             ("natural", OperatorConfig("natural", seed=seed)),
@@ -280,17 +279,16 @@ def cmd_bench(args):
         print(f"{label}: iterations={trace.total_iterations} "
               f"bits={trace.total_bits} status={trace.status}")
 
-    if args.format in ("svg", "csv"):
-        svg = line_plot(
-            series,
-            title=f"CGD on {problem.name} ({problem.loss_kind})",
-            xlabel="cumulative bytes",
-            ylabel="relative error",
-            ylog=True,
-            metadata={"dataset": args.dataset, "loss": args.loss,
-                      "eps": args.eps, "seed": seed, "version": __version__},
-        )
-        _write_text(os.path.join(args.outdir, "bench.svg"), svg)
+    svg = line_plot(
+        series,
+        title=f"CGD on {problem.name} ({problem.loss_kind})",
+        xlabel="cumulative bytes",
+        ylabel="relative error",
+        ylog=True,
+        metadata={"dataset": args.dataset, "loss": args.loss,
+                  "eps": args.eps, "seed": seed, "version": __version__},
+    )
+    _write_text(os.path.join(args.outdir, "bench.svg"), svg)
     return 0
 
 
@@ -400,11 +398,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ops", default=None,
                    help="semicolon list, e.g. 'dsd:nu=0.1;sc:alpha=0.9;identity'")
-    p.add_argument("--sc-alpha", dest="sc_alpha", type=float, default=0.9)
     p.add_argument("--best-topk", dest="best_topk", action="store_true",
                    help="sweep k in [1,d] and include the best run")
     p.add_argument("--out", dest="outdir", required=True)
-    p.add_argument("--format", choices=("csv", "svg"), default="svg")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="iteration ratio vs compression parameter")
@@ -417,7 +413,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", dest="outdir", required=True)
-    p.add_argument("--format", choices=("csv", "svg"), default="svg")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("selftest", help="acceptance battery (--fast: reduced budgets)")

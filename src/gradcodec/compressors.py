@@ -18,6 +18,7 @@ the identical sample sequence.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,7 +70,22 @@ def _outcome(x, reconstructed, payload):
 
 
 def _f32(value):
-    return float(np.float32(value))
+    """value rounded to binary32; ValueError where that overflows."""
+    try:
+        return struct.unpack(">f", struct.pack(">f", value))[0]
+    except OverflowError as exc:
+        raise ValueError(f"{value} overflows binary32") from exc
+
+
+def _read_payload(bits: BitString, read, *args):
+    """read(cursor, *args) over the whole payload; DecodeError on leftover bits."""
+    cursor = BitCursor(bits)
+    fields = read(cursor, *args)
+    if cursor.remaining():
+        raise bitio.DecodeError(
+            f"{cursor.remaining()} trailing bits after payload (offset {cursor.pos})"
+        )
+    return fields
 
 
 # --- sparse dithering (shared message form) ------------------------------
@@ -130,14 +146,19 @@ def sd_reconstruct(msg: SDMessage):
     return v
 
 
-def _sd_zero_message(d):
-    return SDMessage(
-        d=d,
-        gamma=0.0,
-        zero_positions=np.arange(d, dtype=np.int64),
-        signs=np.empty(0, dtype=np.int64),
-        levels=np.empty(0, dtype=np.int64),
+def _sd_compress(x, levels, signs, gamma):
+    """Send the nonzero levels with their signs and the wire scale gamma;
+    with no nonzero level, the zero message.  Returns (payload, outcome)."""
+    nz = levels > 0
+    msg = SDMessage(
+        d=x.size,
+        gamma=_f32(gamma) if nz.any() else 0.0,
+        zero_positions=np.flatnonzero(~nz).astype(np.int64),
+        signs=signs[nz],
+        levels=levels[nz],
     )
+    payload = sd_serialize(msg)
+    return payload, _outcome(x, sd_reconstruct(msg), payload)
 
 
 def dsd_quantize(x, nu):
@@ -167,35 +188,18 @@ def dsd_compress(x, nu):
     error-minimizing factor <x, u_hat> / ||u_hat||^2.
     """
     x = _as_vector(x)
-    d = x.size
     levels, signs = dsd_quantize(x, nu)
-    nz = levels > 0
-    if not nz.any():
-        msg = _sd_zero_message(d)
-    else:
-        h = math.sqrt(nu / d)
+    gamma = 0.0
+    if levels.any():
+        h = math.sqrt(nu / x.size)
         u_hat = signs * (2.0 * h) * levels
-        gamma_star = float(np.dot(x, u_hat) / np.dot(u_hat, u_hat))
-        msg = SDMessage(
-            d=d,
-            gamma=_f32(2.0 * h * gamma_star),
-            zero_positions=np.flatnonzero(~nz).astype(np.int64),
-            signs=signs[nz],
-            levels=levels[nz],
-        )
-    payload = sd_serialize(msg)
-    return payload, _outcome(x, sd_reconstruct(msg), payload)
+        gamma = 2.0 * h * float(np.dot(x, u_hat) / np.dot(u_hat, u_hat))
+    return _sd_compress(x, levels, signs, gamma)
 
 
 def dsd_decompress(bits: BitString, d):
     """Inverse of dsd_compress; bit-identical to the encoder outcome."""
-    cursor = BitCursor(bits)
-    msg = sd_parse(cursor, d)
-    if cursor.remaining():
-        raise bitio.DecodeError(
-            f"{cursor.remaining()} trailing bits after payload (offset {cursor.pos})"
-        )
-    return sd_reconstruct(msg)
+    return sd_reconstruct(_read_payload(bits, sd_parse, d))
 
 
 def rsd_compress(x, nu, rng: np.random.Generator):
@@ -208,31 +212,21 @@ def rsd_compress(x, nu, rng: np.random.Generator):
     if nu <= 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
     norm = math.sqrt(float(np.dot(x, x)))
-    if norm == 0.0:
-        msg = _sd_zero_message(d)
-    else:
-        u = x / norm
-        h = math.sqrt(nu / d)
-        t = np.abs(u) / (2.0 * h)
-        base = np.floor(t)
-        levels = (base + (rng.random(d) < (t - base))).astype(np.int64)
-        nz = levels > 0
-        if not nz.any():
-            msg = _sd_zero_message(d)
-        else:
-            signs = np.where(u >= 0.0, 1, -1).astype(np.int64)
-            msg = SDMessage(
-                d=d,
-                gamma=_f32(2.0 * h * norm),
-                zero_positions=np.flatnonzero(~nz).astype(np.int64),
-                signs=signs[nz],
-                levels=levels[nz],
-            )
-    payload = sd_serialize(msg)
-    return payload, _outcome(x, sd_reconstruct(msg), payload)
+    u = x / norm if norm > 0.0 else x  # x = 0 rounds every level to 0
+    h = math.sqrt(nu / d)
+    t = np.abs(u) / (2.0 * h)
+    base = np.floor(t)
+    levels = (base + (rng.random(d) < (t - base))).astype(np.int64)
+    signs = np.where(u >= 0.0, 1, -1).astype(np.int64)
+    return _sd_compress(x, levels, signs, 2.0 * h * norm)
 
 
 # --- spherical compression -----------------------------------------------
+
+def _sc_vector(norm, alpha, w):
+    """The candidate direction w / ||w|| at radius norm sqrt(1 - alpha)."""
+    return norm * math.sqrt(1.0 - alpha) * (w / np.linalg.norm(w))
+
 
 def sc_trial_cap(p):
     """Trial budget 50 ceil(1/p); exceeding it has probability <= e^-50."""
@@ -259,8 +253,7 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     m = bitio.golomb_rice_params(p)
     cap = sc_trial_cap(p) if trial_cap is None else trial_cap
     norm32 = _f32(norm)
-    radius = math.sqrt(1.0 - alpha)
-    scale = norm32 * radius
+    scale = norm32 * math.sqrt(1.0 - alpha)
     threshold = alpha * norm * norm
     base2 = scale * scale + norm * norm
 
@@ -269,7 +262,6 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     block = 8
     max_block = max(8, min(1 << 16, (1 << 22) // d))
     T = None
-    accepted = None
     while drawn < cap and T is None:
         n = min(block, cap - drawn)
         w = rng.standard_normal((n, d))
@@ -281,11 +273,10 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
         # on the exact reconstruction so the contraction is guaranteed.
         dist2 = base2 - 2.0 * scale * (w @ x) / norms
         for i in np.flatnonzero(dist2 <= threshold * (1.0 + 1e-9)):
-            v = w[int(i)] / np.linalg.norm(w[int(i)])
-            err = scale * v - x
+            rec = _sc_vector(norm32, alpha, w[i])
+            err = rec - x
             if float(np.dot(err, err)) <= threshold:
                 T = drawn + int(i) + 1
-                accepted = v
                 break
         drawn += n
         block = min(block * 4, max_block)
@@ -294,29 +285,27 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
             f"no accepted point within {cap} trials (alpha={alpha}, d={d})"
         )
     payload = norm_field + bitio.golomb_rice_encode(T, m)
-    return payload, _outcome(x, scale * accepted, payload)
+    return payload, _outcome(x, rec, payload)
+
+
+def _sc_read(cursor, d, alpha):
+    """(norm, T, trial cap); T = 0 for the zero message."""
+    norm = bitio.read_float_magnitude(cursor)
+    if norm == 0.0:
+        return norm, 0, 0
+    p = cap_probability(CapParams(alpha, d))
+    T = bitio.golomb_rice_decode(cursor, bitio.golomb_rice_params(p))
+    return norm, T, sc_trial_cap(p)
 
 
 def sc_decompress(bits: BitString, d, alpha, seed, message_index=0):
     """Replay the encoder's keyed sample stream for T trials and rescale."""
-    cursor = BitCursor(bits)
-    norm = bitio.read_float_magnitude(cursor)
+    # the payload is checked whole before the replay, whose cost grows with T
+    norm, T, cap = _read_payload(bits, _sc_read, d, alpha)
     if norm == 0.0:
-        if cursor.remaining():
-            raise bitio.DecodeError("trailing bits after zero message")
         return np.zeros(d)
-    params = CapParams(alpha, d)
-    p = cap_probability(params)
-    m = bitio.golomb_rice_params(p)
-    T = bitio.golomb_rice_decode(cursor, m)
-    if cursor.remaining():
-        raise bitio.DecodeError(
-            f"{cursor.remaining()} trailing bits after payload (offset {cursor.pos})"
-        )
-    if T > sc_trial_cap(p):
-        raise bitio.MalformedCodeError(
-            f"trial count {T} exceeds the cap {sc_trial_cap(p)}"
-        )
+    if T > cap:
+        raise bitio.MalformedCodeError(f"trial count {T} exceeds the cap {cap}")
     rng = message_stream(seed, message_index)
     left = T
     last = None
@@ -325,11 +314,31 @@ def sc_decompress(bits: BitString, d, alpha, seed, message_index=0):
         w = rng.standard_normal((n, d))
         last = w[-1]
         left -= n
-    v = last / np.linalg.norm(last)
-    return norm * math.sqrt(1.0 - alpha) * v
+    return _sc_vector(norm, alpha, last)
 
 
 # --- baselines -------------------------------------------------------------
+
+def _sparse_vector(d, sel, vals):
+    """Zeros except `vals` at the positions `sel`."""
+    rec = np.zeros(d)
+    rec[sel] = vals
+    return rec
+
+
+def _sparse_compress(x, sel, vals):
+    """The sparse layout: binary32 values, then the subset rank of their
+    sorted positions `sel`.  Returns (payload, outcome)."""
+    d, k = x.size, sel.size
+    payload = bitio.write_float32_block(vals) + bitio.write_fixed(
+        bitio.subset_rank(sel.tolist(), d, k), bitio.subset_code_width(d, k)
+    )
+    return payload, _outcome(x, _sparse_vector(d, sel, vals.astype(np.float32)), payload)
+
+
+def _sparse_read(cursor, d, k):
+    return bitio.read_float32_block(cursor, k), cursor.read_bits(bitio.subset_code_width(d, k))
+
 
 def topk_compress(x, k):
     """Keep the k largest-magnitude coordinates (ties to the lower index),
@@ -341,25 +350,13 @@ def topk_compress(x, k):
         raise ValueError(f"k must be in [1, {d}], got {k}")
     order = np.lexsort((np.arange(d), -np.abs(x)))
     sel = np.sort(order[:k])
-    vals = x[sel]
-    payload = bitio.write_float32_block(vals) + bitio.write_fixed(
-        bitio.subset_rank(sel.tolist(), d, k), bitio.subset_code_width(d, k)
-    )
-    rec = np.zeros(d)
-    rec[sel] = vals.astype(np.float32)
-    return payload, _outcome(x, rec, payload)
+    return _sparse_compress(x, sel, x[sel])
 
 
 def topk_decompress(bits: BitString, d, k):
-    cursor = BitCursor(bits)
-    vals = bitio.read_float32_block(cursor, k)
-    rank = cursor.read_bits(bitio.subset_code_width(d, k))
-    if cursor.remaining():
-        raise bitio.DecodeError("trailing bits after payload")
-    sel = bitio.subset_unrank(rank, d, k)
-    rec = np.zeros(d)
-    rec[sel] = vals
-    return rec
+    """Decoder of the sparse layout, for topk and randsparse."""
+    vals, rank = _read_payload(bits, _sparse_read, d, k)
+    return _sparse_vector(d, bitio.subset_unrank(rank, d, k), vals)
 
 
 def random_sparsify(x, k, rng: np.random.Generator):
@@ -369,13 +366,15 @@ def random_sparsify(x, k, rng: np.random.Generator):
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     sel = np.sort(rng.choice(d, size=k, replace=False))
-    vals = x[sel] * (d / k)
-    payload = bitio.write_float32_block(vals) + bitio.write_fixed(
-        bitio.subset_rank(sel.tolist(), d, k), bitio.subset_code_width(d, k)
-    )
-    rec = np.zeros(d)
-    rec[sel] = vals.astype(np.float32)
-    return payload, _outcome(x, rec, payload)
+    return _sparse_compress(x, sel, x[sel] * (d / k))
+
+
+def _dither_vector(norm, levels, sign_bits, s):
+    """norm * sign * level / s per coordinate; sign_bits holds one bit
+    (1 = negative) per nonzero level, so a zero level is +0.0."""
+    signs = np.ones(levels.size)
+    signs[levels > 0] = 1.0 - 2.0 * sign_bits
+    return norm * signs * levels / s
 
 
 def std_dither(x, s, rng: np.random.Generator):
@@ -395,40 +394,38 @@ def std_dither(x, s, rng: np.random.Generator):
     t = s * np.abs(u)
     base = np.floor(t)
     levels = (base + (rng.random(d) < (t - base))).astype(np.int64)
-    nz = levels > 0
-    signs = np.where(u < 0.0, 1, 0).astype(np.uint8)
+    sign_bits = (u[levels > 0] < 0.0).astype(np.uint8)
     payload = BitString.concat([
         bitio.write_float_magnitude(norm),
         bitio.write_unary_block(levels + 1),
-        BitString(signs[nz]),
+        BitString(sign_bits),
     ])
-    # a sign only on nonzero levels, as the decoder reads it: no -0.0
-    rec = _f32(norm) * np.where(nz & (u < 0.0), -1.0, 1.0) * levels / s
-    return payload, _outcome(x, rec, payload)
+    return payload, _outcome(x, _dither_vector(_f32(norm), levels, sign_bits, s), payload)
 
 
-def std_dither_decompress(bits: BitString, d, s):
-    cursor = BitCursor(bits)
+def _dither_read(cursor, d, s):
     norm = bitio.read_float_magnitude(cursor)
     if norm == 0.0:
-        if cursor.remaining():
-            raise bitio.DecodeError("trailing bits after zero message")
-        return np.zeros(d)
+        return norm, np.zeros(d, dtype=np.int64), np.empty(0)
     levels = bitio.read_unary_block(cursor, d) - 1
     if levels.max(initial=0) > s:
         raise bitio.MalformedCodeError(f"level above s={s}")
-    nz = levels > 0
-    sign_bits = cursor._take(int(nz.sum()))
-    if cursor.remaining():
-        raise bitio.DecodeError("trailing bits after payload")
-    signs = np.ones(d)
-    signs[nz] = 1.0 - 2.0 * sign_bits.astype(np.float64)
-    return norm * signs * levels / s
+    return norm, levels, cursor._take(int(np.count_nonzero(levels)))
+
+
+def std_dither_decompress(bits: BitString, d, s):
+    norm, levels, sign_bits = _read_payload(bits, _dither_read, d, s)
+    return _dither_vector(norm, levels, sign_bits, s)
 
 
 def ternary(x, rng: np.random.Generator):
     """Single-level dithering: coordinates snap to {-1, 0, +1} scaled by the norm."""
     return std_dither(x, 1, rng)
+
+
+def _natural_vector(sign_bits, efield):
+    """(-1)^sign 2^(efield - 127) per coordinate, 0 where the field is 0."""
+    return np.where(efield > 0, np.ldexp(1.0 - 2.0 * sign_bits, efield - 127), 0.0)
 
 
 def natural_compress(x, rng: np.random.Generator):
@@ -456,21 +453,15 @@ def natural_compress(x, rng: np.random.Generator):
     for j in range(8):
         bits9[:, 1 + j] = (efield >> (7 - j)) & 1
     payload = BitString(bits9.reshape(-1))
-
-    rec = np.where(efield > 0, np.ldexp(np.where(sign_bits, -1.0, 1.0), efield - 127), 0.0)
-    return payload, _outcome(x, rec, payload)
+    return payload, _outcome(x, _natural_vector(sign_bits, efield), payload)
 
 
 def natural_decompress(bits: BitString, d):
-    cursor = BitCursor(bits)
-    chunk = cursor._take(9 * d).reshape(d, 9)
-    if cursor.remaining():
-        raise bitio.DecodeError("trailing bits after payload")
-    sign = 1.0 - 2.0 * chunk[:, 0].astype(np.float64)
+    chunk = _read_payload(bits, BitCursor._take, 9 * d).reshape(d, 9)
     efield = np.zeros(d, dtype=np.int64)
     for j in range(8):
         efield = (efield << 1) | chunk[:, 1 + j]
-    return np.where(efield > 0, np.ldexp(sign, efield - 127), 0.0)
+    return _natural_vector(chunk[:, 0], efield)
 
 
 def identity_compress(x):
@@ -481,11 +472,7 @@ def identity_compress(x):
 
 
 def identity_decompress(bits: BitString, d):
-    cursor = BitCursor(bits)
-    vals = bitio.read_float32_block(cursor, d)
-    if cursor.remaining():
-        raise bitio.DecodeError("trailing bits after payload")
-    return vals
+    return _read_payload(bits, bitio.read_float32_block, d)
 
 
 def contract_wrap(outcome: CompressionOutcome, omega, x):
@@ -511,9 +498,8 @@ class CodecSpec:
     encode(x, config, message_index) -> (payload, outcome) reads the
     `params` fields of the config, and its seed when `randomized`;
     decode(bits, d, config, message_index) -> vector reads only the
-    `decode_params` fields and the seed.  The operator is contractive
-    ("C") or unbiased ("U") per `variance_class`, with parameter
-    variance(config, d).  `predicted`, where set, maps (config, d) to
+    `decode_params` fields and the seed.  `unbiased` kinds, E[C(x)] = x,
+    accept a contract wrap.  `predicted`, where set, maps (config, d) to
     the (column, value) that `gradcodec compress` prints next to the
     measured bits.
     """
@@ -522,8 +508,7 @@ class CodecSpec:
     params: tuple
     decode_params: tuple
     randomized: bool
-    variance_class: str
-    variance: Callable
+    unbiased: bool
     encode: Callable
     decode: Callable
     predicted: Callable = None
@@ -531,63 +516,53 @@ class CodecSpec:
 
 CODECS = {
     "dsd": CodecSpec(
-        tag=1, params=("nu",), decode_params=(), randomized=False,
-        variance_class="C", variance=lambda c, d: c.nu,
+        tag=1, params=("nu",), decode_params=(), randomized=False, unbiased=False,
         encode=lambda x, c, i: dsd_compress(x, c.nu),
         decode=lambda bits, d, c, i: dsd_decompress(bits, d),
         predicted=lambda c, d: ("predicted_dsd_bits",
                                 f"{bounds.dsd_predicted_bits(c.nu, d):.1f}"),
     ),
     "rsd": CodecSpec(
-        tag=2, params=("nu",), decode_params=(), randomized=True,
-        variance_class="U", variance=lambda c, d: c.nu,
+        tag=2, params=("nu",), decode_params=(), randomized=True, unbiased=True,
         encode=lambda x, c, i: rsd_compress(x, c.nu, message_stream(c.seed, i)),
         decode=lambda bits, d, c, i: dsd_decompress(bits, d),
         predicted=lambda c, d: ("predicted_rsd_bits",
                                 f"{bounds.rsd_predicted_bits(c.nu, d):.1f}"),
     ),
     "sc": CodecSpec(
-        tag=3, params=("alpha",), decode_params=("alpha",), randomized=True,
-        variance_class="C", variance=lambda c, d: c.alpha,
+        tag=3, params=("alpha",), decode_params=("alpha",), randomized=True, unbiased=False,
         encode=lambda x, c, i: sc_compress(x, c.alpha, c.seed, i),
         decode=lambda bits, d, c, i: sc_decompress(bits, d, c.alpha, c.seed, i),
         predicted=lambda c, d: ("avg_lower_bits",
                                 f"{bounds.avg_lower_bound(c.alpha, d):.2f}"),
     ),
     "topk": CodecSpec(
-        tag=4, params=("k",), decode_params=("k",), randomized=False,
-        variance_class="C", variance=lambda c, d: 1.0 - c.k / d,
+        tag=4, params=("k",), decode_params=("k",), randomized=False, unbiased=False,
         encode=lambda x, c, i: topk_compress(x, c.k),
         decode=lambda bits, d, c, i: topk_decompress(bits, d, c.k),
     ),
     "randsparse": CodecSpec(
-        tag=5, params=("k",), decode_params=("k",), randomized=True,
-        variance_class="U", variance=lambda c, d: d / c.k - 1.0,
+        tag=5, params=("k",), decode_params=("k",), randomized=True, unbiased=True,
         encode=lambda x, c, i: random_sparsify(x, c.k, message_stream(c.seed, i)),
         decode=lambda bits, d, c, i: topk_decompress(bits, d, c.k),
     ),
     "dither": CodecSpec(
-        tag=6, params=("levels",), decode_params=("levels",), randomized=True,
-        variance_class="U",
-        variance=lambda c, d: min(d / c.levels**2, math.sqrt(d) / c.levels),
+        tag=6, params=("levels",), decode_params=("levels",), randomized=True, unbiased=True,
         encode=lambda x, c, i: std_dither(x, c.levels, message_stream(c.seed, i)),
         decode=lambda bits, d, c, i: std_dither_decompress(bits, d, c.levels),
     ),
     "ternary": CodecSpec(
-        tag=7, params=(), decode_params=(), randomized=True,
-        variance_class="U", variance=lambda c, d: math.sqrt(d),
+        tag=7, params=(), decode_params=(), randomized=True, unbiased=True,
         encode=lambda x, c, i: ternary(x, message_stream(c.seed, i)),
         decode=lambda bits, d, c, i: std_dither_decompress(bits, d, 1),
     ),
     "natural": CodecSpec(
-        tag=8, params=(), decode_params=(), randomized=True,
-        variance_class="U", variance=lambda c, d: 0.125,
+        tag=8, params=(), decode_params=(), randomized=True, unbiased=True,
         encode=lambda x, c, i: natural_compress(x, message_stream(c.seed, i)),
         decode=lambda bits, d, c, i: natural_decompress(bits, d),
     ),
     "identity": CodecSpec(
-        tag=9, params=(), decode_params=(), randomized=False,
-        variance_class="U", variance=lambda c, d: 0.0,
+        tag=9, params=(), decode_params=(), randomized=False, unbiased=True,
         encode=lambda x, c, i: identity_compress(x),
         decode=lambda bits, d, c, i: identity_decompress(bits, d),
     ),
@@ -603,7 +578,7 @@ def kind_for_tag(tag):
 
 def check_wrap(kind, omega):
     """Reject a contract wrap that no encoder of `kind` can produce."""
-    if CODECS[kind].variance_class != "U":
+    if not CODECS[kind].unbiased:
         raise ValueError(f"contract wrap requires an unbiased operator, not {kind}")
     if omega < 0.0:
         raise ValueError("wrap omega must be >= 0")
@@ -683,15 +658,6 @@ class Operator:
     @property
     def tag(self):
         return CODECS[self.config.kind].tag
-
-    def variance_class(self, d):
-        """(class, parameter) pair describing the operator's guarantee."""
-        c = self.config
-        if c.wrap_omega is not None:
-            w = c.wrap_omega
-            return ("B", w / (1.0 + w))
-        spec = CODECS[c.kind]
-        return (spec.variance_class, spec.variance(c, d))
 
     def compress(self, x):
         """Compress one message; advances the message counter."""

@@ -141,8 +141,7 @@ def sample_unit_sphere_block(d, count, rng: np.random.Generator):
     return v / norms[:, None]
 
 
-def mc_cap_probability(params: CapParams, trials, rng: np.random.Generator,
-                       block=1 << 15):
+def mc_cap_probability(params: CapParams, trials, rng: np.random.Generator):
     """Monte-Carlo estimate of cap_probability.
 
     Counts uniform unit samples x with ||x - c||^2 <= alpha for the
@@ -155,7 +154,7 @@ def mc_cap_probability(params: CapParams, trials, rng: np.random.Generator,
     hits = 0
     left = trials
     while left > 0:
-        n = min(block, left)
+        n = min(1 << 15, left)
         x = sample_unit_sphere_block(params.d, n, rng)
         x[:, 0] -= center
         dist2 = np.einsum("ij,ij->i", x, x)

@@ -86,24 +86,24 @@ def gradient(problem: Problem, x):
     return -(A.T @ (y * sig)) / n + problem.lam * x
 
 
-def _max_eigenvalue(A, tol=1e-8, max_iter=10_000):
+def _max_eigenvalue(A):
     """Largest eigenvalue of A^T A by power iteration."""
     d = A.shape[1]
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(10_000):
         w = A.T @ (A @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         lam = float(v @ (A.T @ (A @ v)))
-        if abs(lam - lam_prev) <= tol * abs(lam):
+        if abs(lam - lam_prev) <= 1e-8 * abs(lam):
             return lam
         lam_prev = lam
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    raise RuntimeError("power iteration did not converge in 10000 steps")
 
 
 def smoothness(problem: Problem):
@@ -118,9 +118,9 @@ def smoothness(problem: Problem):
     return lam_max / (4.0 * problem.n) + problem.lam
 
 
-def minimizer(problem: Problem, grad_tol=1e-10, max_iter=5_000_000):
+def minimizer(problem: Problem):
     """Precompute x*: a direct solve for ridge, full-precision gradient
-    descent to ||grad|| <= grad_tol for logistic."""
+    descent to ||grad|| <= 1e-10 for logistic."""
     if problem.lam <= 0.0:
         raise ValueError("minimizer requires lam > 0 (strong convexity)")
     A, y, n = problem.features, problem.labels, problem.n
@@ -129,12 +129,12 @@ def minimizer(problem: Problem, grad_tol=1e-10, max_iter=5_000_000):
         return np.linalg.solve(H, A.T @ y / n)
     L = smoothness(problem)
     x = np.zeros(problem.d)
-    for _ in range(max_iter):
+    for _ in range(5_000_000):
         g = gradient(problem, x)
-        if np.linalg.norm(g) <= grad_tol:
+        if np.linalg.norm(g) <= 1e-10:
             return x
         x = x - g / L
-    raise RuntimeError(f"logistic minimizer did not reach ||grad|| <= {grad_tol}")
+    raise RuntimeError("logistic minimizer did not reach ||grad|| <= 1e-10")
 
 
 @dataclass
@@ -267,7 +267,7 @@ def theoretical_ratio(family, param):
 
 
 def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
-                          seed=0, repeats=1, max_iter=1_000_000):
+                          seed=0, repeats=1):
     """Iterations-to-eps across a parameter grid, relative to the
     uncompressed baseline.
 
@@ -280,8 +280,7 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
         raise ValueError(f"unknown sweep family {family!r}")
     L = smoothness(problem)
     x_star = minimizer(problem)
-    base = cgd_run(problem, OperatorConfig("identity"), eps=eps,
-                   max_iter=max_iter, x_star=x_star, L=L)
+    base = cgd_run(problem, OperatorConfig("identity"), eps=eps, x_star=x_star, L=L)
     gd_iters = base.total_iterations
 
     rows = []
@@ -292,8 +291,7 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
         first = sweep_config(family, param, problem.d, seed=seed)
         for r in range(repeats if CODECS[first.kind].randomized else 1):
             config = dataclasses.replace(first, seed=seed + r)
-            trace = cgd_run(problem, config, eps=eps, max_iter=max_iter,
-                            x_star=x_star, L=L)
+            trace = cgd_run(problem, config, eps=eps, x_star=x_star, L=L)
             iters.append(trace.total_iterations)
             bits.append(trace.total_bits)
             statuses.append(trace.status)

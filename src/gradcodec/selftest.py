@@ -181,9 +181,9 @@ def rsd_battery(budget):
     return _config_stats(f"rsd(nu={RSD_NU:g})", d, measured), t
 
 
-def geometric_chi2_pvalue(samples, p, min_expected=5.0):
+def geometric_chi2_pvalue(samples, p):
     """Chi-square goodness of fit of integer samples to Geometric(p),
-    binned by geometric quantiles with expected counts >= min_expected."""
+    binned by geometric quantiles with expected counts >= 5."""
     samples = np.asarray(samples, dtype=np.int64)
     n = samples.size
     qs = stats.geom.ppf(np.linspace(0.0, 1.0, 21)[1:-1], p).astype(np.int64)
@@ -197,7 +197,7 @@ def geometric_chi2_pvalue(samples, p, min_expected=5.0):
     acc = 0.0
     for prob, up in zip(probs, uppers):
         acc += prob
-        if acc * n >= min_expected or up is None:
+        if acc * n >= 5.0 or up is None:
             merged_probs.append(acc)
             merged_uppers.append(up)
             acc = 0.0

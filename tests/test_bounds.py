@@ -104,10 +104,6 @@ class TestCoveringBoundRhs:
         assert 1.04 <= val <= 1.06
         assert val == pytest.approx(1.0481, abs=2e-4)
 
-    def test_natural_log_variant_close(self):
-        assert bounds.covering_bound_rhs(1000, natural_log=True) == pytest.approx(
-            1.0473, abs=2e-4)
-
     def test_large_d_approaches_one(self):
         val = bounds.covering_bound_rhs(10**6)
         assert 1.0 < val < 1.001

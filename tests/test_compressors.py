@@ -7,7 +7,7 @@ import pytest
 from gradcodec import bitio, compressors as comp
 from gradcodec.bitio import BitCursor, BitString
 from gradcodec.compressors import (CODECS, GiveUpError, OperatorConfig,
-                                   contract_wrap, make_operator)
+                                   contract_wrap, decode_payload, make_operator)
 from gradcodec.geometry import CapParams, cap_probability
 from gradcodec.rng import message_stream
 
@@ -424,12 +424,6 @@ class TestContractWrap:
         limit = nu / (1 + nu)
         assert dists.mean() <= limit + 4.0 * dists.std(ddof=1) / math.sqrt(n)
 
-    def test_class_relabeling(self):
-        op = make_operator(OperatorConfig("rsd", nu=0.25, wrap_omega=0.25))
-        assert op.variance_class(10) == ("B", 0.2)
-        plain = make_operator(OperatorConfig("rsd", nu=0.25))
-        assert plain.variance_class(10) == ("U", 0.25)
-
     def test_wrap_requires_unbiased(self):
         with pytest.raises(ValueError):
             OperatorConfig("dsd", nu=0.1, wrap_omega=0.5)
@@ -490,3 +484,14 @@ class TestOperator:
         x = np.full(24, 1e39)
         with pytest.raises(ValueError):
             make_operator(CONFIGS[kind]).compress_at(x, 0)
+
+    @pytest.mark.parametrize("kind", CODECS)
+    def test_rejects_appended_or_missing_bit(self, kind):
+        d = 24
+        x = message_stream(22, 0).standard_normal(d)
+        config = CONFIGS[kind]
+        payload, _ = make_operator(config).compress_at(x, 2)
+        for bad in (payload + BitString([0]), payload + BitString([1]),
+                    BitString.from_bytes(payload.to_bytes(), len(payload) - 1)):
+            with pytest.raises(bitio.DecodeError):
+                decode_payload(config, bad, d, message_index=2)

@@ -136,7 +136,7 @@ def trace_digests(outdir):
         loss = spec.split(":")[1]
         dest = outdir / loss
         assert main(["bench", "--dataset", spec, "--loss", loss, "--seed", "0",
-                     "--format", "csv", "--out", str(dest)]) == 0
+                     "--out", str(dest)]) == 0
         for path in sorted(dest.glob("trace_*.csv")):
             text = "".join(line for line in path.read_text().splitlines(keepends=True)
                            if not line.startswith("# version="))
