@@ -232,9 +232,63 @@ def subset_rank(positions, d, n0):
     """Lexicographic rank of an n0-subset of {0..d-1}.
 
     Combinatorial number system: subsets are ordered as sorted index
-    tuples; {0,..,n0-1} has rank 0.  The scan keeps a running binomial
-    coefficient, so the cost is O(d) big-integer multiply/divides.
+    tuples; {0,..,n0-1} has rank 0.
     """
+    return _rank(positions, d, n0, math.comb(d, n0))
+
+
+def subset_unrank(rank, d, n0):
+    """Inverse of subset_rank; returns the sorted position list."""
+    total = math.comb(d, n0)
+    if rank < 0 or rank >= total:
+        raise ValueError(f"rank {rank} out of range for C({d},{n0})")
+    return _unrank(rank, d, n0, total)
+
+
+def write_subset(positions, d, n0) -> BitString:
+    """Subset rank as a fixed field of ceil(log2 C(d, n0)) bits."""
+    total = math.comb(d, n0)
+    return write_fixed(_rank(positions, d, n0, total), (total - 1).bit_length())
+
+
+def read_subset(cursor: BitCursor, d, n0):
+    """Read a write_subset field; MalformedCodeError if the rank is
+    C(d, n0) or more, which the field's width can hold."""
+    total = math.comb(d, n0)
+    rank = cursor.read_bits((total - 1).bit_length())
+    if rank >= total:
+        raise MalformedCodeError(f"subset rank {rank} out of range for C({d},{n0})")
+    return _unrank(rank, d, n0, total)
+
+
+# Both scans walk t = d-1-j down from d-1 and keep the running binomial
+# coefficient c = C(t, k-1): the number of subsets, among those still
+# possible, whose next index is j.  Taking j sets c <- c*k/t after k
+# drops by one; skipping it adds c to the rank and sets c <- c*(t-k+1)/t.
+# Every quotient is exact.
+#
+# The direct loop pays one bignum multiply and one single-digit bignum
+# division per coordinate.  The grouped loop multiplies the steps of up
+# to _GROUP_STEPS coordinates together in small ints -- den = prod t,
+# num = prod of the step factors, A = the skipped coefficients' sum
+# scaled by den -- and applies them with one q, r = divmod(c, den):
+#     skipped sum = c*A/den = q*A + r*A//den,
+#     c_next      = c*num/den = q*num + r*num//den.
+# Both left-hand sides are integers, so both r*X//den are exact.  It
+# runs while c is wider than _DIRECT_BITS; narrower c goes to the
+# direct loop, which is faster there.  C(d, n0) < 2^d, so d <= 4096
+# always takes the direct loop.
+_GROUP_STEPS = 64
+_DIRECT_BITS = 4096
+# Unrank's fixed-point estimate keeps the leading _ESTIMATE_BITS of c;
+# a group ends once c has shrunk so far that the estimate's error
+# window could exceed 2^-_MARGIN_BITS of it (see _unrank).
+_ESTIMATE_BITS = 256
+_MARGIN_BITS = 64
+
+
+def _rank(positions, d, n0, total, steps=_GROUP_STEPS, direct_bits=_DIRECT_BITS):
+    """subset_rank given total = C(d, n0)."""
     positions = list(positions)
     if len(positions) != n0:
         raise ValueError(f"expected {n0} positions, got {len(positions)}")
@@ -250,36 +304,118 @@ def subset_rank(positions, d, n0):
 
     rank = 0
     k = n0
-    c = math.comb(d - 1, n0 - 1)  # subsets whose next chosen index is j
+    c = total * n0 // d  # C(d-1, n0-1)
     it = iter(positions)
-    nxt = next(it)
-    for j in range(d):
-        t = d - 1 - j
-        if j == nxt:
+    nxt = d - 1 - next(it)  # the t of the next chosen index
+    t = d - 1
+    while c.bit_length() > direct_bits:
+        A, num, den = 0, 1, 1
+        for t in range(t, max(t - steps, -1), -1):
+            if t == nxt:
+                k -= 1
+                if k == 0:
+                    q, r = divmod(c, den)
+                    return rank + q * A + r * A // den
+                num *= k
+                A *= t
+                nxt = d - 1 - next(it)
+            else:
+                A = (A + num) * t
+                num *= t - k + 1
+            den *= t
+        t -= 1
+        q, r = divmod(c, den)
+        rank += q * A + r * A // den
+        c = q * num + r * num // den
+    for t in range(t, -1, -1):
+        if t == nxt:
             k -= 1
             if k == 0:
                 break
             c = c * k // t
-            nxt = next(it)
+            nxt = d - 1 - next(it)
         else:
             rank += c
             c = c * (t - k + 1) // t
     return rank
 
 
-def subset_unrank(rank, d, n0):
-    """Inverse of subset_rank; returns the sorted position list."""
-    if rank < 0 or rank >= math.comb(d, n0):
-        raise ValueError(f"rank {rank} out of range for C({d},{n0})")
+def _exact_below(rank, c, num, den):
+    """rank < c*num/den, decided exactly."""
+    return rank * den < c * num
+
+
+def _unrank(rank, d, n0, total, steps=_GROUP_STEPS, direct_bits=_DIRECT_BITS):
+    """subset_unrank given total = C(d, n0) and 0 <= rank < total.
+
+    A grouped step takes j iff the rank left, R - c*A/den, is below the
+    coefficient c*num/den, i.e. iff  Delta = R*den - c*(A+num) < 0,
+    with R and c the exact values at the group's start.  The loop tracks
+    this with the leading bits only: e = max(bitlen(c) - _ESTIMATE_BITS, 0),
+    ch = c >> e, rh = R >> e, and in small ints
+        U = rh*den - ch*A,   B = ch*num,   delta = U - B.
+    Error bound.  With c = ch*2^e + a and R = rh*2^e + b, 0 <= a, b < 2^e,
+        Delta = 2^e*delta + b*den - a*(A+num),
+    so |Delta - 2^e*delta| < 2^e*max(den, A+num).  Every decision so far
+    was right, so c*A/den <= R, and c*num/den <= c; hence
+    A+num <= den*(R/c + 1) < den*2^s with s = max(bitlen(R)-bitlen(c)+1, 0) + 1.
+    With M = den << s >= max(den, A+num):
+        delta >= M  => Delta > 0: skip;
+        delta <= -M => Delta < 0: take;
+    otherwise the exact test R*den < c*(A+num) decides, where
+    A = (rh*den - U)/ch exactly.
+    Group end.  At a step, the coefficient is c_j = c*num/den >= 2^e*B/den
+    and the rank left is R_j = R - c*A/den.  The step falls back only
+    when |Delta| < 2^(e+1)*M, and Delta = den*(R_j - c_j), so only when
+    |R_j - c_j| < 2^(e+1+s).  The group ends once B < den << (s +
+    _MARGIN_BITS); before that c_j >= 2^(e+s+_MARGIN_BITS), so a
+    fallback needs R_j within 2^(1-_MARGIN_BITS) of c_j, relatively.
+    The rule bounds how often the exact test runs; correctness never
+    depends on it.
+    """
     if n0 == 0:
         return []
     positions = []
     k = n0
-    c = math.comb(d - 1, n0 - 1)
-    for j in range(d):
-        t = d - 1 - j
+    c = total * n0 // d
+    t = d - 1
+    while c.bit_length() > direct_bits:
+        e = max(c.bit_length() - _ESTIMATE_BITS, 0)
+        ch, rh = c >> e, rank >> e
+        s = max(rank.bit_length() - c.bit_length() + 1, 0) + 1
+        s_end = s + _MARGIN_BITS
+        U, B, num, den = rh, ch, 1, 1
+        for t in range(t, max(t - steps, -1), -1):
+            M = den << s
+            delta = U - B
+            if delta >= M:
+                take = False
+            elif delta <= -M:
+                take = True
+            else:
+                take = _exact_below(rank, c, (rh * den - U) // ch + num, den)
+            if take:
+                positions.append(d - 1 - t)
+                k -= 1
+                if k == 0:
+                    return positions
+                num *= k
+                U *= t
+            else:
+                U = delta * t
+                num *= t - k + 1
+            den *= t
+            B = ch * num
+            if B < den << s_end:
+                break
+        t -= 1
+        A = (rh * den - U) // ch
+        q, r = divmod(c, den)
+        rank -= q * A + r * A // den
+        c = q * num + r * num // den
+    for t in range(t, -1, -1):
         if rank < c:
-            positions.append(j)
+            positions.append(d - 1 - t)
             k -= 1
             if k == 0:
                 break

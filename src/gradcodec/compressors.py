@@ -111,12 +111,11 @@ class SDMessage:
 
 def sd_serialize(msg: SDMessage) -> BitString:
     d, n0 = msg.d, msg.n0
-    rank = bitio.subset_rank(msg.zero_positions.tolist(), d, n0)
     sign_bits = BitString((msg.signs < 0).astype(np.uint8))
     return BitString.concat([
         bitio.write_float_magnitude(msg.gamma),
         bitio.write_fixed(n0, d.bit_length()),
-        bitio.write_fixed(rank, bitio.subset_code_width(d, n0)),
+        bitio.write_subset(msg.zero_positions.tolist(), d, n0),
         sign_bits,
         bitio.write_unary_block(msg.levels),
     ])
@@ -127,8 +126,7 @@ def sd_parse(cursor: BitCursor, d) -> SDMessage:
     n0 = cursor.read_bits(d.bit_length())
     if n0 > d:
         raise bitio.MalformedCodeError(f"zero count {n0} exceeds dimension {d}")
-    rank = cursor.read_bits(bitio.subset_code_width(d, n0))
-    zero_positions = np.asarray(bitio.subset_unrank(rank, d, n0), dtype=np.int64)
+    zero_positions = np.asarray(bitio.read_subset(cursor, d, n0), dtype=np.int64)
     nnz = d - n0
     sign_bits = cursor._take(nnz)
     signs = 1 - 2 * sign_bits.astype(np.int64)
@@ -330,14 +328,12 @@ def _sparse_compress(x, sel, vals):
     """The sparse layout: binary32 values, then the subset rank of their
     sorted positions `sel`.  Returns (payload, outcome)."""
     d, k = x.size, sel.size
-    payload = bitio.write_float32_block(vals) + bitio.write_fixed(
-        bitio.subset_rank(sel.tolist(), d, k), bitio.subset_code_width(d, k)
-    )
+    payload = bitio.write_float32_block(vals) + bitio.write_subset(sel.tolist(), d, k)
     return payload, _outcome(x, _sparse_vector(d, sel, vals.astype(np.float32)), payload)
 
 
 def _sparse_read(cursor, d, k):
-    return bitio.read_float32_block(cursor, k), cursor.read_bits(bitio.subset_code_width(d, k))
+    return bitio.read_float32_block(cursor, k), bitio.read_subset(cursor, d, k)
 
 
 def topk_compress(x, k):
@@ -355,8 +351,8 @@ def topk_compress(x, k):
 
 def topk_decompress(bits: BitString, d, k):
     """Decoder of the sparse layout, for topk and randsparse."""
-    vals, rank = _read_payload(bits, _sparse_read, d, k)
-    return _sparse_vector(d, bitio.subset_unrank(rank, d, k), vals)
+    vals, sel = _read_payload(bits, _sparse_read, d, k)
+    return _sparse_vector(d, sel, vals)
 
 
 def random_sparsify(x, k, rng: np.random.Generator):

@@ -192,6 +192,101 @@ class TestSubsetCode:
             bitio.subset_unrank(6, 4, 2)
 
 
+def _direct_rank(positions, d, n0):
+    return bitio._rank(positions, d, n0, math.comb(d, n0), direct_bits=math.inf)
+
+
+def _direct_unrank(rank, d, n0):
+    return bitio._unrank(rank, d, n0, math.comb(d, n0), direct_bits=math.inf)
+
+
+def _grouped_rank(positions, d, n0, steps=bitio._GROUP_STEPS):
+    return bitio._rank(positions, d, n0, math.comb(d, n0), steps, direct_bits=0)
+
+
+def _grouped_unrank(rank, d, n0, steps=bitio._GROUP_STEPS):
+    return bitio._unrank(rank, d, n0, math.comb(d, n0), steps, direct_bits=0)
+
+
+class TestGroupedSubsetCode:
+    """The grouped rank and unrank against the direct per-coordinate loop."""
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_exhaustive_small_dims(self, steps):
+        for d in range(1, 11):
+            for n0 in range(d + 1):
+                for rank, subset in enumerate(itertools.combinations(range(d), n0)):
+                    subset = list(subset)
+                    assert _direct_rank(subset, d, n0) == rank
+                    assert _grouped_rank(subset, d, n0, steps) == rank
+                    assert _direct_unrank(rank, d, n0) == subset
+                    assert _grouped_unrank(rank, d, n0, steps) == subset
+
+    def test_random_subsets_and_edge_ranks(self):
+        rng = np.random.default_rng(6)
+        for d in (257, 700, 1500, 3000):
+            for n0 in (1, 2, d // 50, d // 3, d // 2, d - 3, d - 1):
+                total = math.comb(d, n0)
+                positions = sorted(rng.choice(d, size=n0, replace=False).tolist())
+                rank = _direct_rank(positions, d, n0)
+                assert _grouped_rank(positions, d, n0) == rank
+                assert _grouped_unrank(rank, d, n0) == positions
+                # the first subset without index 0 sits at rank C(d-1, n0-1)
+                for edge in {0, 1, total - 1, total // 2, total * n0 // d}:
+                    if edge < total:
+                        assert _grouped_unrank(edge, d, n0) == _direct_unrank(edge, d, n0)
+
+    def test_exact_fallback_runs(self, monkeypatch):
+        calls = []
+        exact = bitio._exact_below
+
+        def counting(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(bitio, "_exact_below", counting)
+        d, n0 = 6000, 3000
+        assert bitio.subset_code_width(d, n0) > bitio._DIRECT_BITS
+        # rank == c at the first step: the estimate cannot decide it
+        rank = math.comb(d - 1, n0 - 1)
+        positions = bitio.subset_unrank(rank, d, n0)
+        assert calls
+        assert positions == list(range(1, n0 + 1))
+        assert bitio.subset_rank(positions, d, n0) == rank
+
+    def test_wire_sparse_size_round_trip(self):
+        # d = 10^5 with the zero-set size of a dsd message on Gaussian input
+        d, n0 = 100_000, 61_343
+        positions = sorted(np.random.default_rng(7).choice(d, size=n0, replace=False).tolist())
+        field = bitio.write_subset(positions, d, n0)
+        assert len(field) == bitio.subset_code_width(d, n0)
+        cursor = BitCursor(field)
+        assert bitio.read_subset(cursor, d, n0) == positions
+        assert cursor.remaining() == 0
+
+    @given(st.data())
+    def test_grouped_matches_direct(self, data):
+        d = data.draw(st.integers(1, 400))
+        subset = sorted(data.draw(st.sets(st.integers(0, d - 1), max_size=d)))
+        steps = data.draw(st.integers(1, 80))
+        n0 = len(subset)
+        rank = _direct_rank(subset, d, n0)
+        assert _grouped_rank(subset, d, n0, steps) == rank
+        assert _grouped_unrank(rank, d, n0, steps) == subset
+        other = data.draw(st.integers(0, math.comb(d, n0) - 1))
+        assert _grouped_unrank(other, d, n0, steps) == _direct_unrank(other, d, n0)
+
+    @pytest.mark.parametrize("d,n0", [(10, 5), (10, 2)])
+    def test_read_rejects_out_of_range_rank(self, d, n0):
+        total = math.comb(d, n0)
+        width = bitio.subset_code_width(d, n0)
+        last = bitio.read_subset(BitCursor(bitio.write_fixed(total - 1, width)), d, n0)
+        assert last == list(range(d - n0, d))
+        for rank in (total, 2 ** width - 1):
+            with pytest.raises(MalformedCodeError):
+                bitio.read_subset(BitCursor(bitio.write_fixed(rank, width)), d, n0)
+
+
 class TestFloatMagnitude:
     def test_zero_is_31_zero_bits(self):
         assert bitio.write_float_magnitude(0.0).to01() == "0" * 31

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gradcodec import bitio
+from gradcodec.bitio import BitString
 from gradcodec.cli import _parse_ops_list, main
-from gradcodec.compressors import OperatorConfig
+from gradcodec.compressors import OPERATOR_TAGS, OperatorConfig
 
 
 def run(args):
@@ -101,6 +102,18 @@ class TestErrorPaths:
         bad = tmp_path / "bad.gcv"
         bad.write_bytes(b"NOPE" + bytes(20))
         assert run(["decompress", "--in", str(bad)]) == 2
+
+    def test_out_of_range_rank_exits_2(self, tmp_path, capsys):
+        # dsd at d=10 with n0=5: the 8-bit rank field holds 255 > C(10, 5) - 1
+        payload = BitString.concat([
+            bitio.write_float_magnitude(1.0), bitio.write_fixed(5, 4),
+            bitio.write_fixed(255, 8), BitString([0] * 5),
+            bitio.write_unary_block([1] * 5),
+        ])
+        bad = tmp_path / "bad.gcv"
+        bad.write_bytes(bitio.pack_container(OPERATOR_TAGS["dsd"], 10, payload))
+        assert run(["decompress", "--in", str(bad)]) == 2
+        assert "subset rank 255 out of range" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert run(["decompress", "--in", "/no/such/file.gcv"]) == 2

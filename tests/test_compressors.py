@@ -495,3 +495,20 @@ class TestOperator:
                     BitString.from_bytes(payload.to_bytes(), len(payload) - 1)):
             with pytest.raises(bitio.DecodeError):
                 decode_payload(config, bad, d, message_index=2)
+
+    @pytest.mark.parametrize("kind", ["dsd", "rsd", "topk", "randsparse"])
+    def test_out_of_range_rank_is_malformed(self, kind):
+        # a rank field of width w holds up to 2^w - 1 >= C(d, n0)
+        d = 10
+        if kind in ("dsd", "rsd"):  # n0 = 5: C(10, 5) = 252, 8-bit field
+            config = OperatorConfig(kind, nu=0.25, seed=1)
+            bad = BitString.concat([
+                bitio.write_float_magnitude(1.0), bitio.write_fixed(5, 4),
+                bitio.write_fixed(255, 8), BitString([0] * 5),
+                bitio.write_unary_block([1] * 5),
+            ])
+        else:  # k = 2: C(10, 2) = 45, 6-bit field
+            config = OperatorConfig(kind, k=2, seed=1)
+            bad = bitio.write_float32_block([1.0, 2.0]) + bitio.write_fixed(63, 6)
+        with pytest.raises(bitio.MalformedCodeError):
+            decode_payload(config, bad, d)
