@@ -85,16 +85,10 @@ class BitString:
     def __len__(self):
         return int(self._arr.size)
 
-    def __getitem__(self, i):
-        return int(self._arr[i])
-
     def __eq__(self, other):
         if not isinstance(other, BitString):
             return NotImplemented
         return np.array_equal(self._arr, other._arr)
-
-    def __hash__(self):
-        return hash(self.to_bytes() + len(self).to_bytes(8, "big"))
 
     def __repr__(self):
         s = self.to01()
@@ -172,18 +166,13 @@ def write_fixed(value, width) -> BitString:
 def golomb_rice_params(p):
     """Rice parameter m for success probability p, from 1/(2p) <= 2^m < 1/p.
 
-    The interval spans exactly one factor of two, so m is unique.
+    With 2p = f*2^e, f in [1/2, 1), m = 1 - e is the smallest m with
+    2^m*2p >= 1, and 2^m*p = f < 1.  Scaling by 2^m is exact, so this
+    holds for every positive float, subnormals included.
     """
     if not (0.0 < p < 0.5):
         raise ValueError(f"p must be in (0, 1/2), got {p}")
-    m = max(0, math.ceil(math.log2(1.0 / (2.0 * p))))
-    while (2.0 ** m) * (2.0 * p) < 1.0:
-        m += 1
-    while m > 0 and (2.0 ** (m - 1)) * (2.0 * p) >= 1.0:
-        m -= 1
-    if not (2.0 ** m) * p < 1.0:
-        raise ValueError(f"no Rice parameter satisfies the bracket for p={p}")
-    return m
+    return 1 - math.frexp(2.0 * p)[1]
 
 
 def golomb_rice_encode(value, m) -> BitString:
@@ -253,7 +242,17 @@ def write_subset(positions, d, n0) -> BitString:
 
 def read_subset(cursor: BitCursor, d, n0):
     """Read a write_subset field; MalformedCodeError if the rank is
-    C(d, n0) or more, which the field's width can hold."""
+    C(d, n0) or more, which the field's width can hold.
+
+    C(d, k) >= (d/k)^k with k = min(n0, d - n0) bounds the width from
+    below, so a payload too short for the field is rejected before the
+    cost of computing C(d, n0)."""
+    k = min(n0, d - n0)
+    if k and cursor.remaining() < math.floor(k * math.log2(d / k)) - 1:
+        raise TruncatedStreamError(
+            f"subset rank over C({d},{n0}) needs more than the "
+            f"{cursor.remaining()} bits left at offset {cursor.pos}"
+        )
     total = math.comb(d, n0)
     rank = cursor.read_bits((total - 1).bit_length())
     if rank >= total:
@@ -280,10 +279,10 @@ def read_subset(cursor: BitCursor, d, n0):
 # always takes the direct loop.
 _GROUP_STEPS = 64
 _DIRECT_BITS = 4096
-# Unrank's fixed-point estimate keeps the leading _ESTIMATE_BITS of c;
-# a group ends once c has shrunk so far that the estimate's error
-# window could exceed 2^-_MARGIN_BITS of it (see _unrank).
-_ESTIMATE_BITS = 256
+# Unrank's fixed-point quotient R*2^_QUOTIENT_BITS/c has that many
+# fractional bits; a group ends once its steps' coefficient has shrunk
+# below 2^(_MARGIN_BITS - _QUOTIENT_BITS) of c (see _unrank).
+_QUOTIENT_BITS = 256
 _MARGIN_BITS = 64
 
 
@@ -349,29 +348,18 @@ def _unrank(rank, d, n0, total, steps=_GROUP_STEPS, direct_bits=_DIRECT_BITS):
     """subset_unrank given total = C(d, n0) and 0 <= rank < total.
 
     A grouped step takes j iff the rank left, R - c*A/den, is below the
-    coefficient c*num/den, i.e. iff  Delta = R*den - c*(A+num) < 0,
-    with R and c the exact values at the group's start.  The loop tracks
-    this with the leading bits only: e = max(bitlen(c) - _ESTIMATE_BITS, 0),
-    ch = c >> e, rh = R >> e, and in small ints
-        U = rh*den - ch*A,   B = ch*num,   delta = U - B.
-    Error bound.  With c = ch*2^e + a and R = rh*2^e + b, 0 <= a, b < 2^e,
-        Delta = 2^e*delta + b*den - a*(A+num),
-    so |Delta - 2^e*delta| < 2^e*max(den, A+num).  Every decision so far
-    was right, so c*A/den <= R, and c*num/den <= c; hence
-    A+num <= den*(R/c + 1) < den*2^s with s = max(bitlen(R)-bitlen(c)+1, 0) + 1.
-    With M = den << s >= max(den, A+num):
-        delta >= M  => Delta > 0: skip;
-        delta <= -M => Delta < 0: take;
-    otherwise the exact test R*den < c*(A+num) decides, where
-    A = (rh*den - U)/ch exactly.
-    Group end.  At a step, the coefficient is c_j = c*num/den >= 2^e*B/den
-    and the rank left is R_j = R - c*A/den.  The step falls back only
-    when |Delta| < 2^(e+1)*M, and Delta = den*(R_j - c_j), so only when
-    |R_j - c_j| < 2^(e+1+s).  The group ends once B < den << (s +
-    _MARGIN_BITS); before that c_j >= 2^(e+s+_MARGIN_BITS), so a
-    fallback needs R_j within 2^(1-_MARGIN_BITS) of c_j, relatively.
-    The rule bounds how often the exact test runs; correctness never
-    depends on it.
+    coefficient c*num/den, i.e. iff  (A+num)*2^Q - den*R*2^Q/c > 0,  with
+    R and c the exact values at the group's start and Q = _QUOTIENT_BITS.
+    Once per group, rho = floor(R*2^Q/c), so R*2^Q/c lies in [rho, rho+1)
+    and that difference lies in (gap - den, gap] for
+    gap = (A+num)*2^Q - rho*den:  gap >= den takes, gap <= 0 skips, and
+    the exact test R*den < c*(A+num) decides the rest.  The loop keeps
+    G = A*2^Q - rho*den and N = num*2^Q, so gap = G + N.
+    Group end.  A step falls back only when R - c*A/den lies within
+    c*2^-Q of its coefficient c*num/den; ending the group once
+    N < den*2^_MARGIN_BITS keeps that window below 2^-_MARGIN_BITS of
+    the coefficient.  The rule bounds how often the exact test runs;
+    correctness never depends on it.
     """
     if n0 == 0:
         return []
@@ -380,36 +368,32 @@ def _unrank(rank, d, n0, total, steps=_GROUP_STEPS, direct_bits=_DIRECT_BITS):
     c = total * n0 // d
     t = d - 1
     while c.bit_length() > direct_bits:
-        e = max(c.bit_length() - _ESTIMATE_BITS, 0)
-        ch, rh = c >> e, rank >> e
-        s = max(rank.bit_length() - c.bit_length() + 1, 0) + 1
-        s_end = s + _MARGIN_BITS
-        U, B, num, den = rh, ch, 1, 1
+        rho = (rank << _QUOTIENT_BITS) // c
+        G, N, den = -rho, 1 << _QUOTIENT_BITS, 1
         for t in range(t, max(t - steps, -1), -1):
-            M = den << s
-            delta = U - B
-            if delta >= M:
-                take = False
-            elif delta <= -M:
+            gap = G + N
+            if gap >= den:
                 take = True
+            elif gap <= 0:
+                take = False
             else:
-                take = _exact_below(rank, c, (rh * den - U) // ch + num, den)
+                take = _exact_below(rank, c, (gap + rho * den) >> _QUOTIENT_BITS, den)
             if take:
                 positions.append(d - 1 - t)
                 k -= 1
                 if k == 0:
                     return positions
-                num *= k
-                U *= t
+                G *= t
+                N *= k
             else:
-                U = delta * t
-                num *= t - k + 1
+                G = gap * t
+                N *= t - k + 1
             den *= t
-            B = ch * num
-            if B < den << s_end:
+            if N < den << _MARGIN_BITS:
                 break
         t -= 1
-        A = (rh * den - U) // ch
+        A = (G + rho * den) >> _QUOTIENT_BITS
+        num = N >> _QUOTIENT_BITS
         q, r = divmod(c, den)
         rank -= q * A + r * A // den
         c = q * num + r * num // den

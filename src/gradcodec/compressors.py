@@ -88,75 +88,47 @@ def _read_payload(bits: BitString, read, *args):
     return fields
 
 
-# --- sparse dithering (shared message form) ------------------------------
+# --- sparse dithering ------------------------------------------------------
 
-@dataclass
-class SDMessage:
-    """Decoded form of a sparse-dithering payload.
-
-    gamma is the binary32-rounded wire value; the reconstruction is
-    gamma * sign * level per nonzero coordinate, zeros elsewhere.
-    """
-
-    d: int
-    gamma: float
-    zero_positions: np.ndarray
-    signs: np.ndarray   # +-1 per nonzero coordinate, ascending index
-    levels: np.ndarray  # >= 1 per nonzero coordinate, ascending index
-
-    @property
-    def n0(self):
-        return int(self.zero_positions.size)
+def _sd_vector(d, gamma, zero_positions, sign_bits, levels):
+    """gamma * sign * level at each coordinate outside zero_positions, in
+    ascending order; sign_bits holds one bit (1 = negative) per level."""
+    rec = np.zeros(d)
+    mask = np.ones(d, dtype=bool)
+    mask[zero_positions] = False
+    rec[mask] = gamma * (1.0 - 2.0 * sign_bits) * levels
+    return rec
 
 
-def sd_serialize(msg: SDMessage) -> BitString:
-    d, n0 = msg.d, msg.n0
-    sign_bits = BitString((msg.signs < 0).astype(np.uint8))
-    return BitString.concat([
-        bitio.write_float_magnitude(msg.gamma),
-        bitio.write_fixed(n0, d.bit_length()),
-        bitio.write_subset(msg.zero_positions.tolist(), d, n0),
-        sign_bits,
-        bitio.write_unary_block(msg.levels),
+def _sd_compress(x, levels, signs, gamma):
+    """The sparse-dithering layout: the wire scale gamma, the zero count,
+    the zero set's rank, then a sign bit and a unary level per nonzero
+    level; with no nonzero level, gamma = 0.  Returns (payload, outcome)."""
+    d = x.size
+    nz = levels > 0
+    gamma = _f32(gamma) if nz.any() else 0.0
+    zeros = np.flatnonzero(~nz)
+    sign_bits = (signs[nz] < 0).astype(np.uint8)
+    payload = BitString.concat([
+        bitio.write_float_magnitude(gamma),
+        bitio.write_fixed(zeros.size, d.bit_length()),
+        bitio.write_subset(zeros.tolist(), d, zeros.size),
+        BitString(sign_bits),
+        bitio.write_unary_block(levels[nz]),
     ])
+    rec = _sd_vector(d, gamma, zeros, sign_bits, levels[nz])
+    return payload, _outcome(x, rec, payload)
 
 
-def sd_parse(cursor: BitCursor, d) -> SDMessage:
+def _sd_read(cursor, d):
+    """(gamma, zero positions, sign bits, levels) of the sparse-dithering layout."""
     gamma = bitio.read_float_magnitude(cursor)
     n0 = cursor.read_bits(d.bit_length())
     if n0 > d:
         raise bitio.MalformedCodeError(f"zero count {n0} exceeds dimension {d}")
-    zero_positions = np.asarray(bitio.read_subset(cursor, d, n0), dtype=np.int64)
-    nnz = d - n0
-    sign_bits = cursor._take(nnz)
-    signs = 1 - 2 * sign_bits.astype(np.int64)
-    levels = bitio.read_unary_block(cursor, nnz)
-    return SDMessage(d=d, gamma=gamma, zero_positions=zero_positions,
-                     signs=signs, levels=levels)
-
-
-def sd_reconstruct(msg: SDMessage):
-    v = np.zeros(msg.d)
-    if msg.n0 < msg.d:
-        mask = np.ones(msg.d, dtype=bool)
-        mask[msg.zero_positions] = False
-        v[mask] = msg.gamma * msg.signs * msg.levels
-    return v
-
-
-def _sd_compress(x, levels, signs, gamma):
-    """Send the nonzero levels with their signs and the wire scale gamma;
-    with no nonzero level, the zero message.  Returns (payload, outcome)."""
-    nz = levels > 0
-    msg = SDMessage(
-        d=x.size,
-        gamma=_f32(gamma) if nz.any() else 0.0,
-        zero_positions=np.flatnonzero(~nz).astype(np.int64),
-        signs=signs[nz],
-        levels=levels[nz],
-    )
-    payload = sd_serialize(msg)
-    return payload, _outcome(x, sd_reconstruct(msg), payload)
+    zeros = bitio.read_subset(cursor, d, n0)
+    sign_bits = cursor._take(d - n0)
+    return gamma, zeros, sign_bits, bitio.read_unary_block(cursor, d - n0)
 
 
 def dsd_quantize(x, nu):
@@ -197,7 +169,7 @@ def dsd_compress(x, nu):
 
 def dsd_decompress(bits: BitString, d):
     """Inverse of dsd_compress; bit-identical to the encoder outcome."""
-    return sd_reconstruct(_read_payload(bits, sd_parse, d))
+    return _sd_vector(d, *_read_payload(bits, _sd_read, d))
 
 
 def rsd_compress(x, nu, rng: np.random.Generator):
@@ -227,8 +199,17 @@ def _sc_vector(norm, alpha, w):
 
 
 def sc_trial_cap(p):
-    """Trial budget 50 ceil(1/p); exceeding it has probability <= e^-50."""
-    return 50 * math.ceil(1.0 / p)
+    """Trial budget 50 ceil(1/p); exceeding it has probability <= e^-50.
+    ValueError where 1/p overflows a float."""
+    try:
+        return 50 * math.ceil(1.0 / p)
+    except OverflowError:
+        raise ValueError(f"no trial budget for cap probability {p}") from None
+
+
+def _sc_block_rows(d):
+    """Most Gaussian rows of length d that one draw holds, on either side."""
+    return max(8, min(1 << 16, (1 << 22) // d))
 
 
 def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
@@ -258,7 +239,7 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     rng = message_stream(seed, message_index)
     drawn = 0
     block = 8
-    max_block = max(8, min(1 << 16, (1 << 22) // d))
+    max_block = _sc_block_rows(d)
     T = None
     while drawn < cap and T is None:
         n = min(block, cap - drawn)
@@ -292,8 +273,9 @@ def _sc_read(cursor, d, alpha):
     if norm == 0.0:
         return norm, 0, 0
     p = cap_probability(CapParams(alpha, d))
+    cap = sc_trial_cap(p)
     T = bitio.golomb_rice_decode(cursor, bitio.golomb_rice_params(p))
-    return norm, T, sc_trial_cap(p)
+    return norm, T, cap
 
 
 def sc_decompress(bits: BitString, d, alpha, seed, message_index=0):
@@ -305,10 +287,11 @@ def sc_decompress(bits: BitString, d, alpha, seed, message_index=0):
     if T > cap:
         raise bitio.MalformedCodeError(f"trial count {T} exceeds the cap {cap}")
     rng = message_stream(seed, message_index)
+    rows = _sc_block_rows(d)
     left = T
     last = None
     while left > 0:
-        n = min(left, 1 << 16)
+        n = min(left, rows)
         w = rng.standard_normal((n, d))
         last = w[-1]
         left -= n
@@ -580,6 +563,16 @@ def check_wrap(kind, omega):
         raise ValueError("wrap omega must be >= 0")
 
 
+def check_param(name, value):
+    """Reject a value of the operator field `name` that no codec accepts."""
+    if name == "nu" and value <= 0.0:
+        raise ValueError(f"nu must be > 0, got {value}")
+    if name == "alpha" and not 0.0 < value < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {value}")
+    if name in ("k", "levels") and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 # --- configured operators ---------------------------------------------------
 
 @dataclass
@@ -604,14 +597,8 @@ class OperatorConfig:
                 raise ValueError(f"{self.kind} requires {name}")
             if name not in required and value is not None:
                 raise ValueError(f"{self.kind} does not take {name}")
-        if self.nu is not None and self.nu <= 0.0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.levels is not None and self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        for name in required:
+            check_param(name, getattr(self, name))
         if self.wrap_omega is not None:
             check_wrap(self.kind, self.wrap_omega)
 

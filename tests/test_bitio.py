@@ -111,6 +111,24 @@ class TestGolombRice:
         m = bitio.golomb_rice_params(p)
         assert 1.0 / (2.0 * p) <= 2.0 ** m < 1.0 / p
 
+    def test_params_closed_form_matches_search(self):
+        # brute force: the smallest m with 2^m * 2p >= 1, scaled exactly
+        def smallest_m(p):
+            m = 0
+            while math.ldexp(2.0 * p, m) < 1.0:
+                m += 1
+            return m
+
+        powers = [math.ldexp(1.0, e) for e in range(-1074, -1)]
+        ps = [q for x in powers
+              for q in (x, math.nextafter(x, 0.0), math.nextafter(x, 1.0))
+              if 0.0 < q < 0.5]
+        ps += [math.nextafter(0.5, 0.0), 2.2716904329e-313, 1e-320]
+        for p in ps:
+            m = bitio.golomb_rice_params(p)
+            assert m == smallest_m(p), p
+            assert math.ldexp(p, m) < 1.0 <= math.ldexp(2.0 * p, m)
+
     @pytest.mark.parametrize("p", [0.0, 0.5, 0.7, -0.1, 1.0])
     def test_params_domain(self, p):
         with pytest.raises(ValueError):
@@ -247,11 +265,13 @@ class TestGroupedSubsetCode:
         monkeypatch.setattr(bitio, "_exact_below", counting)
         d, n0 = 6000, 3000
         assert bitio.subset_code_width(d, n0) > bitio._DIRECT_BITS
-        # rank == c at the first step: the estimate cannot decide it
-        rank = math.comb(d - 1, n0 - 1)
+        # the first subset without indices 0 and 1: its rank ties the
+        # second step's threshold c*(A+num)/den, which is not dyadic, so
+        # the fixed-point quotient cannot decide it
+        rank = math.comb(d - 1, n0 - 1) + math.comb(d - 2, n0 - 1)
         positions = bitio.subset_unrank(rank, d, n0)
         assert calls
-        assert positions == list(range(1, n0 + 1))
+        assert positions == list(range(2, n0 + 2))
         assert bitio.subset_rank(positions, d, n0) == rank
 
     def test_wire_sparse_size_round_trip(self):
@@ -275,6 +295,15 @@ class TestGroupedSubsetCode:
         assert _grouped_unrank(rank, d, n0, steps) == subset
         other = data.draw(st.integers(0, math.comb(d, n0) - 1))
         assert _grouped_unrank(other, d, n0, steps) == _direct_unrank(other, d, n0)
+
+    def test_length_check_admits_every_full_field(self):
+        # read_subset rejects a short payload from a lower bound on the
+        # field's width; a field of exactly that width must still decode
+        cases = [(d, n0) for d in range(1, 65) for n0 in range(d + 1)]
+        cases += [(10**4, n0) for n0 in (1, 2, 10, 100, 5000, 9990, 9999, 10**4)]
+        for d, n0 in cases:
+            field = bitio.write_fixed(0, bitio.subset_code_width(d, n0))
+            assert bitio.read_subset(BitCursor(field), d, n0) == list(range(n0))
 
     @pytest.mark.parametrize("d,n0", [(10, 5), (10, 2)])
     def test_read_rejects_out_of_range_rank(self, d, n0):

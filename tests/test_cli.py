@@ -1,4 +1,6 @@
 import os
+import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +10,7 @@ from gradcodec import bitio
 from gradcodec.bitio import BitString
 from gradcodec.cli import _parse_ops_list, main
 from gradcodec.compressors import OPERATOR_TAGS, OperatorConfig
+from gradcodec.geometry import CapParams, cap_probability
 
 
 def run(args):
@@ -115,6 +118,21 @@ class TestErrorPaths:
         assert run(["decompress", "--in", str(bad)]) == 2
         assert "subset rank 255 out of range" in capsys.readouterr().err
 
+    def test_short_rank_field_rejected_in_bounded_time(self, tmp_path, capsys):
+        # dsd at d=10^6 declaring n0=5*10^5 zeros: C(d, n0) alone takes
+        # seconds to compute, and the 100 bits left cannot hold its rank
+        d = 10**6
+        payload = BitString.concat([
+            bitio.write_float_magnitude(1.0), bitio.write_fixed(d // 2, d.bit_length()),
+            BitString([1] * 100),
+        ])
+        bad = tmp_path / "bad.gcv"
+        bad.write_bytes(bitio.pack_container(OPERATOR_TAGS["dsd"], d, payload))
+        start = time.perf_counter()
+        assert run(["decompress", "--in", str(bad)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "subset rank over C(1000000,500000)" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert run(["decompress", "--in", "/no/such/file.gcv"]) == 2
 
@@ -137,6 +155,39 @@ class TestErrorPaths:
 
     def test_unknown_flag(self):
         assert run(["bounds", "--what"]) == 1
+
+    @pytest.mark.parametrize("kind,flag,good,bad,message", [
+        ("topk", "--k", "2", "-1", "k must be >= 1, got -1"),
+        ("dither", "--levels", "3", "0", "levels must be >= 1, got 0"),
+    ], ids=["topk", "dither"])
+    def test_decode_parameter_rejected_as_in_compress(self, tmp_path, capsys,
+                                                      kind, flag, good, bad, message):
+        vec = tmp_path / "v.txt"
+        vec.write_text("1 -2 3")
+        msg = tmp_path / "m.gcv"
+        assert run(["compress", "--op", kind, flag, good, "--in", str(vec),
+                    "--out", str(msg)]) == 0
+        assert run(["compress", "--op", kind, flag, bad, "--in", str(vec),
+                    "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+        assert run(["decompress", "--in", str(msg), flag, bad]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_subnormal_cap_probability_exits_3(self, tmp_path, capsys):
+        # P(0.01, 312) is about 2e-313: 1/P overflows a float
+        d, alpha = 312, 0.01
+        p = cap_probability(CapParams(alpha, d))
+        assert 0.0 < p < sys.float_info.min
+        vec = tmp_path / "v.txt"
+        vec.write_text(" ".join(["1"] * d))
+        assert run(["compress", "--op", "sc", "--alpha", str(alpha),
+                    "--in", str(vec), "--out", str(tmp_path / "o")]) == 3
+        payload = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(
+            1, bitio.golomb_rice_params(p))
+        msg = tmp_path / "m.gcv"
+        msg.write_bytes(bitio.pack_container(OPERATOR_TAGS["sc"], d, payload))
+        assert run(["decompress", "--in", str(msg), "--alpha", str(alpha)]) == 3
+        assert "no trial budget" in capsys.readouterr().err
 
 
 class TestBoundsCommand:

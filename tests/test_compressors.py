@@ -252,6 +252,30 @@ class TestSphericalCompression:
         with pytest.raises(bitio.MalformedCodeError):
             comp.sc_decompress(fake, 3, 0.5, 1, 0)
 
+    def test_replay_draws_at_most_the_encoder_rows(self, monkeypatch):
+        # at d=4096 the encoder draws at most 1024 rows at a time; the
+        # replay keeps to the same budget and still lands on row T
+        d, alpha, T = 4096, 0.9, 1100
+        shapes = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(comp, "message_stream",
+                            lambda seed, i: Recording(message_stream(seed, i)))
+        m = bitio.golomb_rice_params(cap_probability(CapParams(alpha, d)))
+        payload = bitio.write_float_magnitude(2.0) + bitio.golomb_rice_encode(T, m)
+        rec = comp.sc_decompress(payload, d, alpha, 7, 0)
+        assert max(rows for rows, _ in shapes) == 1024
+        assert sum(rows for rows, _ in shapes) == T
+        w = message_stream(7, 0).standard_normal((T, d))[-1]
+        assert np.array_equal(rec, comp._sc_vector(2.0, alpha, w))
+
     def test_payload_sandwich_high_dimension(self):
         # feasible d=50 setting: alpha=0.98 keeps 1/P small
         alpha, d, n = 0.98, 50, 400
