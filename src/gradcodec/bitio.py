@@ -2,8 +2,8 @@
 
 Bit order: append order is transmission order, fixed-width fields are
 written most-significant-bit first.  A BitString tracks its exact bit
-length (no implicit byte padding); byte-level padding happens only in
-the message container.
+length and holds its bits packed, with zero bits padding the last
+byte; the message container sends those bytes as they are.
 """
 
 import math
@@ -24,21 +24,34 @@ class MalformedCodeError(DecodeError):
     """A well-delimited code decoded to an out-of-domain value."""
 
 
-class BitString:
-    """Immutable-by-convention sequence of bits with exact length."""
+# concat joins parts with Python-int shift-or up to this many bits in
+# total, and with numpy byte shifts above it
+_SMALL_CONCAT_BITS = 4096
 
-    __slots__ = ("_arr",)
+
+class BitString:
+    """Immutable-by-convention sequence of bits with exact length.
+
+    Stored packed: ceil(len/8) bytes, MSB-first, the padding bits of the
+    last byte zero, so equal bit sequences have equal bytes.
+    """
+
+    __slots__ = ("_buf", "_len")
 
     def __init__(self, bits=()):
-        arr = np.array(bits, dtype=np.uint8).reshape(-1)
+        arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
         if arr.size and arr.max(initial=0) > 1:
             raise ValueError("bits must be 0 or 1")
-        self._arr = arr
+        self._buf = np.packbits(arr)
+        self._len = int(arr.size)
 
     @classmethod
-    def _wrap(cls, arr):
+    def _wrap(cls, buf, length):
+        """BitString over uint8 `buf`, which must hold exactly
+        ceil(length/8) bytes with zero padding bits."""
         bs = cls.__new__(cls)
-        bs._arr = arr
+        bs._buf = buf
+        bs._len = length
         return bs
 
     @classmethod
@@ -50,84 +63,132 @@ class BitString:
             raise ValueError("value must be >= 0")
         if value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        if width == 0:
-            return cls._wrap(np.empty(0, dtype=np.uint8))
-        raw = value.to_bytes((width + 7) // 8, "big")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        return cls._wrap(bits[-width:].copy())
+        nbytes = (width + 7) >> 3
+        raw = (value << (8 * nbytes - width)).to_bytes(nbytes, "big")
+        return cls._wrap(np.frombuffer(raw, dtype=np.uint8), width)
 
     @classmethod
     def from_bytes(cls, data, length):
-        """First `length` bits of `data` (MSB-first within each byte)."""
+        """First `length` bits of `data` (MSB-first within each byte); a
+        view of `data` unless bits past `length` must be cleared."""
         if length < 0 or length > 8 * len(data):
             raise ValueError("bit length out of range for buffer")
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=length)
-        return cls._wrap(bits)
+        nbytes = (length + 7) >> 3
+        buf = np.frombuffer(data, dtype=np.uint8, count=nbytes)
+        pad = 8 * nbytes - length
+        if pad and buf[-1] & ((1 << pad) - 1):
+            buf = buf.copy()
+            buf[-1] &= (0xFF << pad) & 0xFF
+        return cls._wrap(buf, length)
+
+    def _int(self):
+        return int.from_bytes(self._buf.tobytes(), "big") >> (8 * self._buf.size - self._len)
 
     @staticmethod
     def concat(parts):
-        arrs = [p._arr for p in parts]
-        if not arrs:
-            return BitString._wrap(np.empty(0, dtype=np.uint8))
-        return BitString._wrap(np.concatenate(arrs))
+        parts = list(parts)
+        total = sum(p._len for p in parts)
+        if total <= _SMALL_CONCAT_BITS:
+            acc = 0
+            for p in parts:
+                acc = (acc << p._len) | p._int()
+            return BitString.from_int(acc, total)
+        # a part at bit offset 8b + s covers bytes b .. b + size; its zero
+        # padding bits leave the bytes past its end zero
+        out = np.zeros(((total + 7) >> 3) + 1, dtype=np.uint8)
+        off = 0
+        for p in parts:
+            b, s = off >> 3, off & 7
+            n = p._buf.size
+            if s:
+                out[b:b + n] |= p._buf >> s
+                out[b + 1:b + n + 1] |= p._buf << (8 - s)
+            else:
+                out[b:b + n] = p._buf
+            off += p._len
+        return BitString._wrap(out[:(total + 7) >> 3], total)
 
     def to_bytes(self):
         """Pack to bytes, zero-padded at the end to a byte boundary."""
-        return np.packbits(self._arr).tobytes()
+        return self._buf.tobytes()
 
     def to01(self):
         """The bits as a '0'/'1' string, as __repr__ shows them."""
-        return "".join("1" if b else "0" for b in self._arr)
+        return format(self._int(), f"0{self._len}b") if self._len else ""
 
     def __add__(self, other):
-        return BitString._wrap(np.concatenate([self._arr, other._arr]))
+        return BitString.concat([self, other])
 
     def __len__(self):
-        return int(self._arr.size)
+        return self._len
 
     def __eq__(self, other):
         if not isinstance(other, BitString):
             return NotImplemented
-        return np.array_equal(self._arr, other._arr)
+        return self._len == other._len and np.array_equal(self._buf, other._buf)
 
     def __repr__(self):
-        s = self.to01()
-        if len(s) > 64:
-            s = s[:61] + "..."
-        return f"BitString({len(self)} bits: {s})"
+        shown = self._len if self._len <= 64 else 61
+        head = np.unpackbits(self._buf[:8], count=shown)
+        s = "".join("1" if b else "0" for b in head)
+        if shown < self._len:
+            s += "..."
+        return f"BitString({self._len} bits: {s})"
 
 
 class BitCursor:
     """Single-consumer read position over a BitString."""
 
-    __slots__ = ("_arr", "pos")
+    __slots__ = ("_buf", "_len", "pos")
 
     def __init__(self, source: BitString):
-        self._arr = source._arr
+        self._buf = source._buf
+        self._len = source._len
         self.pos = 0
 
     def remaining(self):
-        return int(self._arr.size) - self.pos
+        return self._len - self.pos
 
-    def _take(self, n):
+    def _advance(self, n):
+        """Consume n bits; returns the bit offset where they start."""
         if n > self.remaining():
             raise TruncatedStreamError(
                 f"need {n} bits at offset {self.pos}, {self.remaining()} left"
             )
-        out = self._arr[self.pos:self.pos + n]
+        start = self.pos
         self.pos += n
-        return out
+        return start
+
+    def _take(self, n):
+        """The next n bits as a uint8 array of 0s and 1s."""
+        start = self._advance(n)
+        s = start & 7
+        return np.unpackbits(self._buf[start >> 3:(start + n + 7) >> 3], count=s + n)[s:]
+
+    def _rest(self):
+        """Every bit not yet read, unpacked, without consuming any."""
+        s = self.pos & 7
+        return np.unpackbits(self._buf[self.pos >> 3:], count=s + self.remaining())[s:]
 
     def read_bits(self, width):
         """Read a `width`-bit MSB-first unsigned integer."""
         if width < 0:
             raise ValueError("width must be >= 0")
-        if width == 0:
-            return 0
-        chunk = self._take(width)
-        pad = (-width) % 8
-        padded = np.concatenate([np.zeros(pad, dtype=np.uint8), chunk])
-        return int.from_bytes(np.packbits(padded).tobytes(), "big")
+        start = self._advance(width)
+        b0, b1 = start >> 3, (start + width + 7) >> 3
+        value = int.from_bytes(self._buf[b0:b1], "big") >> (8 * b1 - start - width)
+        return value & ((1 << width) - 1)
+
+    def read_bytes(self, n):
+        """The next 8n bits as n bytes (uint8 array); a view of the
+        buffer when the read starts on a byte boundary."""
+        start = self._advance(8 * n)
+        b, s = start >> 3, start & 7
+        if not s:
+            return self._buf[b:b + n]
+        # the last of the n + 1 bytes spanned exists: the read ends inside it
+        span = self._buf[b:b + n + 1]
+        return (span[:-1] << s) | (span[1:] >> (8 - s))
 
 
 def write_unary_block(values) -> BitString:
@@ -140,14 +201,14 @@ def write_unary_block(values) -> BitString:
     total = int(values.sum())
     arr = np.ones(total, dtype=np.uint8)
     arr[np.cumsum(values) - 1] = 0
-    return BitString._wrap(arr)
+    return BitString._wrap(np.packbits(arr), total)
 
 
 def read_unary_block(cursor: BitCursor, count):
     """Read `count` consecutive unary codes as an int64 array."""
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    rel = np.flatnonzero(cursor._arr[cursor.pos:] == 0)
+    rel = np.flatnonzero(cursor._rest() == 0)
     if rel.size < count:
         raise TruncatedStreamError(
             f"expected {count} unary codes at offset {cursor.pos}, found {rel.size}"
@@ -186,22 +247,18 @@ def golomb_rice_encode(value, m) -> BitString:
         raise ValueError("m must be >= 0")
     q = value >> m
     r = value & ((1 << m) - 1)
-    arr = np.zeros(q + 1 + m, dtype=np.uint8)
-    arr[q] = 1
-    if m:
-        arr[q + 1:] = BitString.from_int(r, m)._arr
-    return BitString._wrap(arr)
+    return BitString.from_int((1 << m) | r, q + 1 + m)
 
 
 def golomb_rice_decode(cursor: BitCursor, m):
     if m < 0:
         raise ValueError("m must be >= 0")
-    rel = np.flatnonzero(cursor._arr[cursor.pos:] == 1)
-    if rel.size == 0:
+    rest = cursor._rest()
+    if not rest.any():
         raise TruncatedStreamError(
             f"Golomb-Rice quotient not terminated (offset {cursor.pos})"
         )
-    q = int(rel[0])
+    q = int(rest.argmax())
     cursor.pos += q + 1
     r = cursor.read_bits(m)
     value = (q << m) | r
@@ -435,36 +492,44 @@ def write_float32_block(values) -> BitString:
         raw = np.asarray(values, dtype=np.float64).astype(">f4")
     if raw.size and not np.isfinite(raw).all():
         raise ValueError("values must be finite in binary32")
-    return BitString.from_bytes(raw.tobytes(), 32 * raw.size)
+    return BitString._wrap(raw.reshape(-1).view(np.uint8), 32 * raw.size)
 
 
 def read_float32_block(cursor: BitCursor, count):
-    chunk = cursor._take(32 * count)
-    raw = np.packbits(chunk).tobytes()
-    return np.frombuffer(raw, dtype=">f4").astype(np.float64)
+    return cursor.read_bytes(4 * count).view(">f4").astype(np.float64)
 
 
 # --- message container -------------------------------------------------
 
 CONTAINER_MAGIC = b"GCV1"
 _HEADER_LEN = 4 + 1 + 4 + 4
+# Largest dimension a container may declare: 2^27 coordinates, 1 GiB of
+# float64 output.  Decoders allocate their d-vector output whatever the
+# payload's size, so this bounds what a forged header can make them take.
+MAX_D = 1 << 27
 
 
 def pack_container(tag, d, payload: BitString) -> bytes:
     """GCV1 container: magic, tag byte, LE32 dimension, LE32 bit length, payload."""
     if not 0 <= tag <= 255:
         raise ValueError("operator tag must fit in one byte")
+    if not 0 <= d <= MAX_D:
+        raise ValueError(f"dimension {d} outside [0, MAX_D={MAX_D}]")
     header = (
         CONTAINER_MAGIC
         + bytes([tag])
         + int(d).to_bytes(4, "little")
         + len(payload).to_bytes(4, "little")
     )
-    return header + payload.to_bytes()
+    return b"".join((header, payload._buf))
 
 
 def unpack_container(blob: bytes):
-    """Parse a GCV1 container; returns (tag, d, payload)."""
+    """Parse a GCV1 container; returns (tag, d, payload), the payload a
+    view of `blob`.
+
+    Only the canonical form is accepted: exactly ceil(nbits/8) payload
+    bytes with zero padding bits, so one message has one encoding."""
     if len(blob) < _HEADER_LEN:
         raise DecodeError(f"container too short ({len(blob)} bytes)")
     if blob[:4] != CONTAINER_MAGIC:
@@ -472,9 +537,18 @@ def unpack_container(blob: bytes):
     tag = blob[4]
     d = int.from_bytes(blob[5:9], "little")
     nbits = int.from_bytes(blob[9:13], "little")
-    body = blob[_HEADER_LEN:]
-    if nbits > 8 * len(body):
+    if d > MAX_D:
+        raise DecodeError(f"dimension {d} exceeds MAX_D={MAX_D}")
+    body = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER_LEN)
+    if nbits > 8 * body.size:
         raise DecodeError(
-            f"declared {nbits} payload bits but only {8 * len(body)} available"
+            f"declared {nbits} payload bits but only {8 * body.size} available"
         )
-    return tag, d, BitString.from_bytes(body, nbits)
+    if body.size != (nbits + 7) >> 3:
+        raise DecodeError(
+            f"{body.size - ((nbits + 7) >> 3)} trailing bytes after {nbits} payload bits"
+        )
+    pad = (-nbits) & 7
+    if pad and body[-1] & ((1 << pad) - 1):
+        raise DecodeError(f"nonzero padding bits after {nbits} payload bits")
+    return tag, d, BitString._wrap(body, nbits)

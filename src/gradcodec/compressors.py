@@ -419,27 +419,31 @@ def natural_compress(x, rng: np.random.Generator):
     ax = np.abs(x)
     if ax.max() > 2.0 ** 127:
         raise ValueError("natural compression needs |x_i| <= 2^127")
-    _, ex = np.frexp(ax)
-    lower = ex - 1  # 2^lower <= |x_i| < 2^(lower+1)
-    a = np.ldexp(1.0, lower)
+    # |x_i| = m 2^ex, m in [1/2, 1): it rounds up from 2^(ex-1) to 2^ex
+    # with probability 2m - 1, which is exact (Sterbenz)
+    m, ex = np.frexp(ax)
     u = rng.random(d)
-    efield = np.where(ax < 2.0 ** -126, u < ax * 2.0 ** 126,
-                      lower + (u < (ax - a) / a) + 127).astype(np.int64)
-    sign_bits = (x < 0.0).astype(np.uint8)
+    efield = ex.astype(np.int16)
+    efield += 126
+    efield += u < 2.0 * m - 1.0
+    tiny = np.flatnonzero(ax < 2.0 ** -126)
+    efield[tiny] = u[tiny] < ax[tiny] * 2.0 ** 126
+    sign_bits = x < 0.0
 
-    bits9 = np.empty((d, 9), dtype=np.uint8)
-    bits9[:, 0] = sign_bits
-    for j in range(8):
-        bits9[:, 1 + j] = (efield >> (7 - j)) & 1
-    payload = BitString(bits9.reshape(-1))
+    # eight 9-bit fields fill nine bytes; byte j ends with the high bits
+    # of field j and byte j+1 starts with the last j+1 bits of field j
+    fields = np.zeros((-(-d // 8), 8), dtype=np.uint16)
+    fields.reshape(-1)[:d] = efield | sign_bits.astype(np.int16) << 8
+    packed = np.zeros((fields.shape[0], 9), dtype=np.uint8)
+    packed[:, :8] = fields >> np.arange(1, 9, dtype=np.uint16)
+    packed[:, 1:] |= fields << np.arange(7, -1, -1, dtype=np.uint16)
+    payload = BitString.from_bytes(packed.reshape(-1), 9 * d)
     return payload, _outcome(x, _natural_vector(sign_bits, efield), payload)
 
 
 def natural_decompress(bits: BitString, d):
     chunk = _read_payload(bits, BitCursor._take, 9 * d).reshape(d, 9)
-    efield = np.zeros(d, dtype=np.int64)
-    for j in range(8):
-        efield = (efield << 1) | chunk[:, 1 + j]
+    efield = np.packbits(chunk[:, 1:], axis=1).reshape(d).astype(np.int16)
     return _natural_vector(chunk[:, 0], efield)
 
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +49,89 @@ class TestBitString:
         cur.read_bits(2)
         with pytest.raises(TruncatedStreamError):
             cur.read_bits(1)
+
+    def test_repr_renders_only_the_shown_bits(self):
+        bs = BitString.from_bytes(b"\xa5" * 1_250_000, 10**7)
+        start = time.perf_counter()
+        text = repr(bs)
+        assert time.perf_counter() - start < 0.05
+        assert text == "BitString(10000000 bits: " + "10100101" * 7 + "10100...)"
+        assert repr(BitString([1, 0, 1])) == "BitString(3 bits: 101)"
+
+
+def _bits(length, seed):
+    return np.random.default_rng(seed).integers(0, 2, size=length, dtype=np.uint8)
+
+
+# lengths of 0, a few bits, and up to 3000 bits: lists of them total on
+# both sides of concat's 4096-bit switch
+_part = st.tuples(st.one_of(st.integers(0, 17), st.integers(0, 3000)),
+                  st.integers(0, 2**32 - 1))
+
+
+class TestPackedBuffer:
+    """The packed BitString against a list of bits as the reference."""
+
+    @given(st.lists(_part, max_size=8))
+    def test_concat_matches_list_concatenation(self, specs):
+        refs = [_bits(n, seed) for n, seed in specs]
+        parts = [BitString(r) for r in refs]
+        ref = np.concatenate(refs) if refs else np.empty(0, dtype=np.uint8)
+        joined = BitString.concat(parts)
+        assert len(joined) == ref.size
+        assert joined.to01() == "".join(map(str, ref))
+        assert joined.to_bytes() == np.packbits(ref).tobytes()
+        summed = BitString()
+        for part in parts:
+            summed = summed + part
+        assert summed == joined
+
+    @given(st.binary(max_size=40), st.data())
+    def test_from_bytes_ignores_bits_past_length(self, data, draw):
+        length = draw.draw(st.integers(0, 8 * len(data)))
+        ref = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=length)
+        bs = BitString.from_bytes(data, length)
+        assert bs == BitString(ref)
+        assert bs.to_bytes() == np.packbits(ref).tobytes()
+
+    _field = st.one_of(
+        st.tuples(st.just("bits"), st.integers(0, 70).flatmap(
+            lambda w: st.tuples(st.just(w), st.integers(0, 2**w - 1)))),
+        st.tuples(st.just("take"), _part),
+        st.tuples(st.just("float32"), st.lists(
+            st.floats(width=32, allow_nan=False, allow_infinity=False), max_size=5)),
+        st.tuples(st.just("unary"), st.lists(st.integers(1, 12), max_size=8)),
+        st.tuples(st.just("rice"), st.tuples(st.integers(1, 5000), st.integers(0, 9))),
+    )
+
+    @given(st.integers(0, 7), st.lists(_field, max_size=8))
+    def test_reads_reproduce_every_field(self, lead, fields):
+        writes = {
+            "bits": lambda f: bitio.write_fixed(f[1], f[0]),
+            "take": lambda f: BitString(_bits(*f)),
+            "float32": bitio.write_float32_block,
+            "unary": bitio.write_unary_block,
+            "rice": lambda f: bitio.golomb_rice_encode(*f),
+        }
+        parts = [BitString(_bits(lead, 0))] + [writes[k](f) for k, f in fields]
+        cur = BitCursor(BitString.concat(parts))
+        cur._take(lead)
+        pos = lead
+        for (kind, f), part in zip(fields, parts[1:]):
+            assert cur.pos == pos
+            if kind == "bits":
+                assert cur.read_bits(f[0]) == f[1]
+            elif kind == "take":
+                assert np.array_equal(cur._take(f[0]), _bits(*f))
+            elif kind == "float32":
+                got = bitio.read_float32_block(cur, len(f))
+                assert got.tolist() == [float(np.float32(v)) for v in f]
+            elif kind == "unary":
+                assert bitio.read_unary_block(cur, len(f)).tolist() == f
+            else:
+                assert bitio.golomb_rice_decode(cur, f[1]) == f[0]
+            pos += len(part)
+        assert cur.remaining() == 0
 
 
 class TestUnary:
@@ -372,3 +457,38 @@ class TestContainer:
         broken = blob[:9] + (99).to_bytes(4, "little") + blob[13:]
         with pytest.raises(DecodeError):
             bitio.unpack_container(broken)
+
+    def test_trailing_byte_rejected(self):
+        blob = bitio.pack_container(1, 4, BitString([1, 1]))
+        with pytest.raises(DecodeError, match="trailing bytes"):
+            bitio.unpack_container(blob + b"\x00")
+
+    def test_nonzero_padding_bit_rejected(self):
+        blob = bitio.pack_container(1, 4, BitString([1, 1]))
+        with pytest.raises(DecodeError, match="padding"):
+            bitio.unpack_container(blob[:-1] + bytes([blob[-1] | 1]))
+
+    def test_dimension_limit(self):
+        payload = BitString([1])
+        with pytest.raises(ValueError):
+            bitio.pack_container(1, bitio.MAX_D + 1, payload)
+        blob = bitio.pack_container(1, bitio.MAX_D, payload)
+        assert bitio.unpack_container(blob)[1] == bitio.MAX_D
+
+    def test_dimension_above_limit_rejected_without_allocation(self):
+        # a dsd header near d = 2^32 over a zero scale and a zero count:
+        # decoding it would allocate d float64 values
+        payload = bitio.write_float_magnitude(0.0) + bitio.write_fixed(0, 32)
+        blob = (b"GCV1" + bytes([1]) + (2**32 - 1).to_bytes(4, "little")
+                + len(payload).to_bytes(4, "little") + payload.to_bytes())
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(DecodeError, match="MAX_D"):
+                bitio.unpack_container(blob)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01
+        assert peak < 2**20

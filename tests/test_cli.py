@@ -133,6 +133,29 @@ class TestErrorPaths:
         assert time.perf_counter() - start < 0.5
         assert "subset rank over C(1000000,500000)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["trailing byte", "padding bit"])
+    def test_noncanonical_container_exits_2(self, tmp_path, capsys, edit):
+        blob = bitio.pack_container(OPERATOR_TAGS["dsd"], 2, BitString([1] * 38))
+        bad = tmp_path / "bad.gcv"
+        if edit == "trailing byte":
+            bad.write_bytes(blob + b"\x00")
+        else:
+            bad.write_bytes(blob[:-1] + bytes([blob[-1] | 1]))
+        assert run(["decompress", "--in", str(bad)]) == 2
+        assert "payload bits" in capsys.readouterr().err
+
+    def test_dimension_above_max_d_exits_2(self, tmp_path, capsys):
+        # 21 bytes: a dsd header near d = 2^32 over a zero scale and a
+        # zero count, which would decode to d float64 zeros
+        payload = bitio.write_float_magnitude(0.0) + bitio.write_fixed(0, 32)
+        bad = tmp_path / "big.gcv"
+        bad.write_bytes(b"GCV1" + bytes([OPERATOR_TAGS["dsd"]])
+                        + (2**32 - 1).to_bytes(4, "little")
+                        + len(payload).to_bytes(4, "little") + payload.to_bytes())
+        assert bad.stat().st_size == 21
+        assert run(["decompress", "--in", str(bad)]) == 2
+        assert "exceeds MAX_D" in capsys.readouterr().err
+
     def test_missing_file(self):
         assert run(["decompress", "--in", "/no/such/file.gcv"]) == 2
 

@@ -173,8 +173,8 @@ class TestRandomizedSparseDithering:
         g1 = bitio.read_float_magnitude(c1)
         g2 = bitio.read_float_magnitude(c2)
         assert g2 == pytest.approx(10.0 * g1, rel=1e-6)
-        rest1 = p1._arr[31:]
-        rest2 = p2._arr[31:]
+        rest1 = c1._take(c1.remaining())
+        rest2 = c2._take(c2.remaining())
         assert np.array_equal(rest1, rest2)
 
 
@@ -419,6 +419,33 @@ class TestBaselines:
         assert list(out.reconstructed) == [2.0 ** 127, 2.0 ** -126]
         with pytest.raises(ValueError):
             comp.natural_compress([3e38], message_stream(70, 1))
+
+    def test_natural_matches_the_bit_matrix_reference(self):
+        # the exponent as lower + (u < (|x| - a)/a) + 127 with a = 2^lower,
+        # written out as a d x 9 bit matrix
+        def reference(x, u):
+            ax = np.abs(x)
+            _, ex = np.frexp(ax)
+            a = np.ldexp(1.0, ex - 1)
+            efield = np.where(ax < 2.0 ** -126, u < ax * 2.0 ** 126,
+                              ex - 1 + (u < (ax - a) / a) + 127).astype(np.int64)
+            bits9 = np.empty((x.size, 9), dtype=np.uint8)
+            bits9[:, 0] = x < 0.0
+            for j in range(8):
+                bits9[:, 1 + j] = (efield >> (7 - j)) & 1
+            return BitString(bits9.reshape(-1))
+
+        tiny = 2.0 ** -126
+        edges = [0.0, -0.0, 1.0, -1.0, 2.0 ** 127, -(2.0 ** 127), tiny, -tiny,
+                 np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0), 5e-324, 1e-40,
+                 np.nextafter(1.0, 0.0), np.nextafter(2.0, 4.0), 3.0, 0.75]
+        gen = message_stream(71, 0)
+        for d in (1, 7, 8, 9, 16, 1000):
+            x = gen.standard_normal(d) * 2.0 ** gen.integers(-140, 120, size=d)
+            x[:len(edges)] = edges[:d]
+            payload, out = comp.natural_compress(x, message_stream(72, d))
+            assert payload == reference(x, message_stream(72, d).random(d))
+            assert np.array_equal(comp.natural_decompress(payload, d), out.reconstructed)
 
     def test_identity(self):
         x = np.array([1.5, -2.25, 3.1])
