@@ -24,11 +24,6 @@ class MalformedCodeError(DecodeError):
     """A well-delimited code decoded to an out-of-domain value."""
 
 
-# concat joins parts with Python-int shift-or up to this many bits in
-# total, and with numpy byte shifts above it
-_SMALL_CONCAT_BITS = 4096
-
-
 class BitString:
     """Immutable-by-convention sequence of bits with exact length.
 
@@ -86,27 +81,11 @@ class BitString:
 
     @staticmethod
     def concat(parts):
-        parts = list(parts)
-        total = sum(p._len for p in parts)
-        if total <= _SMALL_CONCAT_BITS:
-            acc = 0
-            for p in parts:
-                acc = (acc << p._len) | p._int()
-            return BitString.from_int(acc, total)
-        # a part at bit offset 8b + s covers bytes b .. b + size; its zero
-        # padding bits leave the bytes past its end zero
-        out = np.zeros(((total + 7) >> 3) + 1, dtype=np.uint8)
-        off = 0
+        acc = total = 0
         for p in parts:
-            b, s = off >> 3, off & 7
-            n = p._buf.size
-            if s:
-                out[b:b + n] |= p._buf >> s
-                out[b + 1:b + n + 1] |= p._buf << (8 - s)
-            else:
-                out[b:b + n] = p._buf
-            off += p._len
-        return BitString._wrap(out[:(total + 7) >> 3], total)
+            acc = (acc << p._len) | p._int()
+            total += p._len
+        return BitString.from_int(acc, total)
 
     def to_bytes(self):
         """Pack to bytes, zero-padded at the end to a byte boundary."""
