@@ -187,14 +187,16 @@ def read_unary_block(cursor: BitCursor, count):
     """Read `count` consecutive unary codes as an int64 array."""
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    rel = np.flatnonzero(cursor._rest() == 0)
-    if rel.size < count:
+    ends = np.flatnonzero(cursor._rest() == 0)[:count]
+    if ends.size < count:
         raise TruncatedStreamError(
-            f"expected {count} unary codes at offset {cursor.pos}, found {rel.size}"
+            f"expected {count} unary codes at offset {cursor.pos}, found {ends.size}"
         )
-    ends = rel[:count].astype(np.int64)
-    values = np.diff(np.concatenate([[-1], ends]))
     cursor.pos += int(ends[-1]) + 1
+    # np.diff(ends, prepend=-1) without its concatenated copy of ends
+    values = ends.copy()
+    values[1:] -= ends[:-1]
+    values[0] += 1
     return values
 
 

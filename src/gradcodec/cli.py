@@ -15,10 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, bitio, bounds, selftest
-from .compressors import (CODECS, GiveUpError, OperatorConfig, check_param,
+from .compressors import (CODECS, PARAMS, GiveUpError, OperatorConfig, check_param,
                           check_wrap, decode_payload, kind_for_tag, make_operator)
 from .data import ParseError, load_dataset
-from .optim import (cgd_run, make_problem, minimizer, smoothness,
+from .optim import (SWEEP_FAMILIES, cgd_run, make_problem, minimizer, smoothness,
                     iteration_ratio_sweep, r_squared)
 from .rng import default_seed
 from .svg import line_plot
@@ -42,10 +42,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_operator_flags(p):
     p.add_argument("--op", choices=sorted(CODECS),
                    help="operator kind")
-    p.add_argument("--nu", type=float, help="sparse dithering variance target")
-    p.add_argument("--alpha", type=float, help="spherical compression contraction")
-    p.add_argument("--k", type=int, help="sparsification count")
-    p.add_argument("--levels", type=int, help="dithering level count")
+    for name, f in PARAMS.items():
+        p.add_argument(f"--{name}", type=f.type, help=f.metadata["help"])
     p.add_argument("--wrap-omega", type=float, dest="wrap_omega",
                    help="embed the unbiased operator into B(omega/(1+omega))")
     p.add_argument("--seed", type=int, default=None,
@@ -58,15 +56,8 @@ def _operator_config(args, require_op=True):
             raise UsageError("--op is required")
         return None
     seed = default_seed() if args.seed is None else args.seed
-    return OperatorConfig(
-        kind=args.op,
-        nu=args.nu,
-        alpha=args.alpha,
-        k=args.k,
-        levels=args.levels,
-        wrap_omega=args.wrap_omega,
-        seed=seed,
-    )
+    return OperatorConfig(kind=args.op, wrap_omega=args.wrap_omega, seed=seed,
+                          **{name: getattr(args, name) for name in PARAMS})
 
 
 def _read_vector(path):
@@ -241,15 +232,13 @@ def cmd_bench(args):
     if args.ops:
         configs = _parse_ops_list(args.ops, seed)
     else:
-        configs = [
-            ("basic", BASIC),
-            ("dsd(nu=0.1)", OperatorConfig("dsd", nu=0.1)),
-            ("rsd(nu=0.25)", OperatorConfig("rsd", nu=0.25, seed=seed)),
-            ("sc(alpha=0.9)", OperatorConfig("sc", alpha=0.9, seed=seed)),
-            ("dither(s=%d)" % max(1, round(math.sqrt(d))),
-             OperatorConfig("dither", levels=max(1, round(math.sqrt(d))), seed=seed)),
-            ("natural", OperatorConfig("natural", seed=seed)),
-        ]
+        configs = [("basic", BASIC)] + [(c.label(), c) for c in (
+            OperatorConfig("dsd", nu=0.1),
+            OperatorConfig("rsd", nu=0.25, seed=seed),
+            OperatorConfig("sc", alpha=0.9, seed=seed),
+            OperatorConfig("dither", levels=max(1, round(math.sqrt(d))), seed=seed),
+            OperatorConfig("natural", seed=seed),
+        )]
 
     traces = []
     for label, config in configs:
@@ -321,7 +310,8 @@ def cmd_sweep(args):
     _write_text(os.path.join(args.outdir, f"sweep_{args.family}.csv"),
                 "\n".join(lines) + "\n")
 
-    label = "1+X" if args.family in ("rsd", "rsd-wrapped") else "1/(1-X)"
+    axis = SWEEP_FAMILIES[args.family].axis
+    label = "1+X" if axis == "omega" else "1/(1-X)"
     svg = line_plot(
         [
             ("measured ratio", [r["param"] for r in rows], measured),
@@ -331,7 +321,7 @@ def cmd_sweep(args):
              [r["total_bits"] / max(gd_iters * 32.0 * problem.d, 1.0) for r in rows]),
         ],
         title=f"{args.family} sweep on {problem.name}",
-        xlabel="alpha" if args.family in ("topk", "sc", "dsd") else "omega",
+        xlabel=axis,
         ylabel="iterations / GD iterations",
         metadata={"family": args.family, "dataset": args.dataset,
                   "eps": args.eps, "seed": seed, "version": __version__},
@@ -405,8 +395,7 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="iteration ratio vs compression parameter")
-    p.add_argument("--family", choices=("topk", "sc", "dsd", "rsd", "rsd-wrapped"),
-                   required=True)
+    p.add_argument("--family", choices=tuple(SWEEP_FAMILIES), required=True)
     p.add_argument("--grid", required=True, help="comma-separated parameter values")
     p.add_argument("--dataset", required=True)
     p.add_argument("--loss", choices=("ridge", "logistic"), default="ridge")

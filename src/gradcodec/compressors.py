@@ -17,6 +17,7 @@ Randomized operators draw from a Philox stream keyed by
 the identical sample sequence.
 """
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -139,8 +140,7 @@ def dsd_quantize(x, nu):
     midpoints round toward the smaller level.
     """
     x = _as_vector(x)
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    check_param("nu", nu)
     norm = math.sqrt(float(np.dot(x, x)))
     if norm == 0.0:
         return np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=np.int64)
@@ -179,8 +179,7 @@ def rsd_compress(x, nu, rng: np.random.Generator):
     """
     x = _as_vector(x)
     d = x.size
-    if nu <= 0.0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    check_param("nu", nu)
     norm = math.sqrt(float(np.dot(x, x)))
     u = x / norm if norm > 0.0 else x  # x = 0 rounds every level to 0
     h = math.sqrt(nu / d)
@@ -363,8 +362,7 @@ def std_dither(x, s, rng: np.random.Generator):
     """
     x = _as_vector(x)
     d = x.size
-    if s < 1:
-        raise ValueError(f"level count must be >= 1, got {s}")
+    check_param("levels", s)
     norm = math.sqrt(float(np.dot(x, x)))
     if norm == 0.0:
         payload = bitio.write_float_magnitude(0.0)
@@ -567,27 +565,25 @@ def check_wrap(kind, omega):
         raise ValueError("wrap omega must be >= 0")
 
 
-def check_param(name, value):
-    """Reject a value of the operator field `name` that no codec accepts."""
-    if name == "nu" and value <= 0.0:
-        raise ValueError(f"nu must be > 0, got {value}")
-    if name == "alpha" and not 0.0 < value < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {value}")
-    if name in ("k", "levels") and value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 # --- configured operators ---------------------------------------------------
+
+def _param(help, domain, rejects, label=None):
+    """An operator parameter field: its CLI help, the domain every codec
+    accepts (`rejects` is true outside it) and its label spelling."""
+    metadata = {"help": help, "domain": domain, "rejects": rejects, "label": label}
+    return dataclasses.field(default=None, metadata=metadata)
+
 
 @dataclass
 class OperatorConfig:
     """Tagged operator description; exactly the fields for `kind` apply."""
 
     kind: str
-    nu: float = None
-    alpha: float = None
-    k: int = None
-    levels: int = None
+    nu: float = _param("sparse dithering variance target", "> 0", lambda v: v <= 0.0)
+    alpha: float = _param("spherical compression contraction", "in (0,1)",
+                          lambda v: not 0.0 < v < 1.0)
+    k: int = _param("sparsification count", ">= 1", lambda v: v < 1)
+    levels: int = _param("dithering level count", ">= 1", lambda v: v < 1, label="s")
     wrap_omega: float = None
     seed: int = 0
 
@@ -595,7 +591,7 @@ class OperatorConfig:
         if self.kind not in CODECS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         required = CODECS[self.kind].params
-        for name in ("nu", "alpha", "k", "levels"):
+        for name in PARAMS:
             value = getattr(self, name)
             if name in required and value is None:
                 raise ValueError(f"{self.kind} requires {name}")
@@ -608,18 +604,26 @@ class OperatorConfig:
 
     def label(self):
         parts = []
-        if self.nu is not None:
-            parts.append(f"nu={self.nu:g}")
-        if self.alpha is not None:
-            parts.append(f"alpha={self.alpha:g}")
-        if self.k is not None:
-            parts.append(f"k={self.k}")
-        if self.levels is not None:
-            parts.append(f"s={self.levels}")
+        for name, f in PARAMS.items():
+            value = getattr(self, name)
+            if value is not None:
+                text = f"{value:g}" if f.type is float else f"{value}"
+                parts.append(f"{f.metadata['label'] or name}={text}")
         name = self.kind + (f"({', '.join(parts)})" if parts else "")
         if self.wrap_omega is not None:
             name = f"wrap[{name}, omega={self.wrap_omega:g}]"
         return name
+
+
+# the operator parameters, by name, in declaration order
+PARAMS = {f.name: f for f in dataclasses.fields(OperatorConfig) if "domain" in f.metadata}
+
+
+def check_param(name, value):
+    """Reject a value of the operator parameter `name` that no codec accepts."""
+    meta = PARAMS[name].metadata
+    if meta["rejects"](value):
+        raise ValueError(f"{name} must be {meta['domain']}, got {value}")
 
 
 def decode_payload(config, bits, d, message_index=0):

@@ -5,6 +5,7 @@ Parsed features are stored dense; source files may be sparse.  Feature
 indices in files are 1-based and must be strictly increasing per line.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,6 @@ def load_dataset(spec):
     if not spec.startswith("synth:"):
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-        import os
         return parse_libsvm(text, name=os.path.basename(spec), source=spec)
     parts = spec.split(":")
     if len(parts) < 2 or parts[1] not in ("ridge", "logistic"):

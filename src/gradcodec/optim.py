@@ -9,6 +9,7 @@ x_{t+1} = x_t - (1/L) C(grad f(x_t)) from x_0 = 0 and stops when
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -234,36 +235,44 @@ def cgd_run(problem: Problem, config: OperatorConfig, eps=1e-4,
     )
 
 
-SWEEP_FAMILIES = ("topk", "sc", "dsd", "rsd", "rsd-wrapped")
+@dataclass(frozen=True)
+class SweepFamily:
+    """One sweep family: the axis its grid values are read on, "alpha"
+    (contractive, predicted ratio 1/(1-alpha)) or "omega" (unbiased,
+    1+omega), and config(value, d) -> its OperatorConfig."""
+
+    axis: str
+    config: Callable
+
+
+SWEEP_FAMILIES = {
+    "topk": SweepFamily("alpha", lambda a, d: OperatorConfig(
+        "topk", k=min(d, max(1, round((1.0 - a) * d))))),
+    "sc": SweepFamily("alpha", lambda a, d: OperatorConfig("sc", alpha=a)),
+    "dsd": SweepFamily("alpha", lambda a, d: OperatorConfig("dsd", nu=a)),
+    "rsd": SweepFamily("omega", lambda w, d: OperatorConfig("rsd", nu=w)),
+    # B(omega/(1+omega)) gives 1/(1-alpha) = 1+omega
+    "rsd-wrapped": SweepFamily("omega", lambda w, d: OperatorConfig(
+        "rsd", nu=w, wrap_omega=w)),
+}
+
+
+def _family(name):
+    """The SWEEP_FAMILIES row of `name`; ValueError for an unknown family."""
+    if name not in SWEEP_FAMILIES:
+        raise ValueError(f"unknown sweep family {name!r}")
+    return SWEEP_FAMILIES[name]
 
 
 def sweep_config(family, param, d, seed=0):
-    """Operator config for one sweep point; the sweep parameter is
-    alpha for biased families and omega for the unbiased ones."""
-    if family == "topk":
-        k = min(d, max(1, round((1.0 - param) * d)))
-        return OperatorConfig("topk", k=k, seed=seed)
-    if family == "sc":
-        return OperatorConfig("sc", alpha=param, seed=seed)
-    if family == "dsd":
-        return OperatorConfig("dsd", nu=param, seed=seed)
-    if family == "rsd":
-        return OperatorConfig("rsd", nu=param, seed=seed)
-    if family == "rsd-wrapped":
-        return OperatorConfig("rsd", nu=param, wrap_omega=param, seed=seed)
-    raise ValueError(f"unknown sweep family {family!r}")
+    """Operator config for one sweep point of `family`."""
+    return dataclasses.replace(_family(family).config(param, d), seed=seed)
 
 
 def theoretical_ratio(family, param):
     """Iteration inflation predicted for the family: 1/(1-alpha) for
     contractive operators, 1+omega for unbiased ones."""
-    if family in ("topk", "sc", "dsd", "rsd-wrapped"):
-        if family == "rsd-wrapped":
-            return 1.0 + param  # B(omega/(1+omega)) gives 1/(1-alpha) = 1+omega
-        return 1.0 / (1.0 - param)
-    if family == "rsd":
-        return 1.0 + param
-    raise ValueError(f"unknown sweep family {family!r}")
+    return 1.0 / (1.0 - param) if _family(family).axis == "alpha" else 1.0 + param
 
 
 def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
@@ -276,8 +285,7 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
     parameter, mean iterations, ratio, total bits, predicted ratio,
     and per-row status.
     """
-    if family not in SWEEP_FAMILIES:
-        raise ValueError(f"unknown sweep family {family!r}")
+    _family(family)
     L = smoothness(problem)
     x_star = minimizer(problem)
     base = cgd_run(problem, OperatorConfig("identity"), eps=eps, x_star=x_star, L=L)

@@ -14,9 +14,8 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from . import bitio, bounds
-from .bitio import BitCursor
-from .compressors import OperatorConfig, make_operator
+from . import bounds
+from .compressors import OperatorConfig, _read_payload, _sc_read, make_operator
 from .data import synth_classification, synth_regression
 from .geometry import CapParams, cap_probability, mc_cap_probability
 from .optim import (cgd_run, gradient, iteration_ratio_sweep, loss,
@@ -230,7 +229,6 @@ def sc_battery(budget):
         if sc_cell_cost(alpha, d, budget.sc_messages) > SC_DRAW_BUDGET:
             continue
         p = cap_probability(CapParams(alpha, d))
-        m = bitio.golomb_rice_params(p)
         op = make_operator(OperatorConfig("sc", alpha=alpha, seed=seed))
         gen = message_stream(seed, 903)
         measured = []
@@ -238,10 +236,8 @@ def sc_battery(budget):
         for i in range(budget.sc_messages):
             payload, out = op.compress_at(gen.standard_normal(d), i)
             measured.append((out.bits, out.distortion))
-            cursor = BitCursor(payload)
-            bitio.read_float_magnitude(cursor)
-            trial_counts[i] = bitio.golomb_rice_decode(cursor, m)
-        cell_stats = _config_stats(f"sc(alpha={alpha:g})", d, measured)
+            trial_counts[i] = _read_payload(payload, _sc_read, d, alpha)[1]
+        cell_stats = _config_stats(op.config.label(), d, measured)
         cells[(alpha, d)] = {
             "stats": cell_stats,
             "mean_payload_bits": cell_stats.mean_bits - 31.0,

@@ -8,9 +8,10 @@ import pytest
 
 from gradcodec import bitio
 from gradcodec.bitio import BitString
-from gradcodec.cli import _parse_ops_list, main
-from gradcodec.compressors import OPERATOR_TAGS, OperatorConfig
+from gradcodec.cli import _parse_ops_list, build_parser, main
+from gradcodec.compressors import CODECS, OPERATOR_TAGS, PARAMS, OperatorConfig
 from gradcodec.geometry import CapParams, cap_probability
+from gradcodec.optim import SWEEP_FAMILIES
 
 
 def run(args):
@@ -92,6 +93,30 @@ class TestCompressDecompress:
             capsys.readouterr()
             assert run(["decompress", "--in", str(msg), "--wrap-omega", "1.0"]) == code
         assert capsys.readouterr().out.split() == ["1.5", "2.0"]
+
+    @pytest.mark.parametrize("command,listed", [
+        ("compress", [f"--{name}" for name in PARAMS]
+         + [f.metadata["help"] for f in PARAMS.values()]),
+        ("sweep", ["{" + ",".join(SWEEP_FAMILIES) + "}"]),
+    ])
+    def test_help_lists_generated_flags(self, capsys, command, listed):
+        # argparse %-formats help text, so a bad help string fails only here
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for item in listed:
+            assert item in text
+
+    @pytest.mark.parametrize("kind", CODECS)
+    def test_codec_params_are_operator_flags(self, kind):
+        parser = build_parser()
+        for name in CODECS[kind].params + CODECS[kind].decode_params:
+            assert PARAMS[name].metadata["domain"]
+            for command in ("compress", "decompress"):
+                args = parser.parse_args([command, "--op", kind, f"--{name}", "1",
+                                          "--in", "v", "--out", "o"])
+                assert getattr(args, name) == 1
 
 
 class TestErrorPaths:

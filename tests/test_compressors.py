@@ -510,7 +510,13 @@ class TestOperator:
 
     def test_labels(self):
         assert OperatorConfig("dsd", nu=0.1).label() == "dsd(nu=0.1)"
-        assert "wrap[" in OperatorConfig("rsd", nu=0.25, wrap_omega=0.25).label()
+        assert OperatorConfig("sc", alpha=0.5).label() == "sc(alpha=0.5)"
+        # integer parameters print in full, where a shared :g would give 1e+06
+        assert OperatorConfig("topk", k=10**6).label() == "topk(k=1000000)"
+        assert OperatorConfig("dither", levels=10**6).label() == "dither(s=1000000)"
+        assert OperatorConfig("natural").label() == "natural"
+        assert (OperatorConfig("rsd", nu=0.25, wrap_omega=0.25).label()
+                == "wrap[rsd(nu=0.25), omega=0.25]")
 
     def test_every_kind_round_trips(self):
         d = 24

@@ -195,6 +195,7 @@ class TestRatioSweep:
         assert theoretical_ratio("rsd", 0.25) == pytest.approx(1.25)
         assert theoretical_ratio("rsd-wrapped", 0.25) == pytest.approx(1.25)
         assert theoretical_ratio("sc", 0.5) == pytest.approx(2.0)
+        assert theoretical_ratio("dsd", 0.2) == pytest.approx(1.25)
 
     def test_wrapped_rsd_ratio_increases(self, ridge):
         rows, _ = iteration_ratio_sweep(ridge, "rsd-wrapped", [0.1, 1.0],
