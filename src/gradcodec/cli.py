@@ -55,8 +55,7 @@ def _operator_config(args, require_op=True):
         if require_op:
             raise UsageError("--op is required")
         return None
-    seed = default_seed() if args.seed is None else args.seed
-    return OperatorConfig(kind=args.op, wrap_omega=args.wrap_omega, seed=seed,
+    return OperatorConfig(kind=args.op, wrap_omega=args.wrap_omega, seed=args.seed,
                           **{name: getattr(args, name) for name in PARAMS})
 
 
@@ -114,8 +113,7 @@ def cmd_decompress(args):
     if args.wrap_omega is not None:
         check_wrap(kind, args.wrap_omega)
     params = SimpleNamespace(
-        kind=kind, wrap_omega=args.wrap_omega,
-        seed=default_seed() if args.seed is None else args.seed,
+        kind=kind, wrap_omega=args.wrap_omega, seed=args.seed,
         **{name: getattr(args, name) for name in needed},
     )
     rec = decode_payload(params, payload, d, args.message_index)
@@ -222,7 +220,6 @@ def _safe_name(label):
 
 
 def cmd_bench(args):
-    seed = default_seed() if args.seed is None else args.seed
     dataset = load_dataset(args.dataset)
     problem = make_problem(dataset, args.loss)
     L = smoothness(problem)
@@ -230,14 +227,14 @@ def cmd_bench(args):
     d = problem.d
 
     if args.ops:
-        configs = _parse_ops_list(args.ops, seed)
+        configs = _parse_ops_list(args.ops, args.seed)
     else:
         configs = [("basic", BASIC)] + [(c.label(), c) for c in (
             OperatorConfig("dsd", nu=0.1),
-            OperatorConfig("rsd", nu=0.25, seed=seed),
-            OperatorConfig("sc", alpha=0.9, seed=seed),
-            OperatorConfig("dither", levels=max(1, round(math.sqrt(d))), seed=seed),
-            OperatorConfig("natural", seed=seed),
+            OperatorConfig("rsd", nu=0.25, seed=args.seed),
+            OperatorConfig("sc", alpha=0.9, seed=args.seed),
+            OperatorConfig("dither", levels=max(1, round(math.sqrt(d))), seed=args.seed),
+            OperatorConfig("natural", seed=args.seed),
         )]
 
     traces = []
@@ -276,19 +273,18 @@ def cmd_bench(args):
         ylabel="relative error",
         ylog=True,
         metadata={"dataset": args.dataset, "loss": args.loss,
-                  "eps": args.eps, "seed": seed, "version": __version__},
+                  "eps": args.eps, "seed": args.seed, "version": __version__},
     )
     _write_text(os.path.join(args.outdir, "bench.svg"), svg)
     return 0
 
 
 def cmd_sweep(args):
-    seed = default_seed() if args.seed is None else args.seed
     dataset = load_dataset(args.dataset)
     problem = make_problem(dataset, args.loss)
     grid = _parse_grid(args.grid, "sweep")
     rows, gd_iters = iteration_ratio_sweep(
-        problem, args.family, grid, eps=args.eps, seed=seed,
+        problem, args.family, grid, eps=args.eps, seed=args.seed,
         repeats=args.repeats,
     )
     measured = [r["ratio"] for r in rows]
@@ -297,7 +293,7 @@ def cmd_sweep(args):
 
     lines = [
         f"# gradcodec {__version__} sweep family={args.family} "
-        f"dataset={args.dataset} loss={args.loss} eps={args.eps} seed={seed}",
+        f"dataset={args.dataset} loss={args.loss} eps={args.eps} seed={args.seed}",
         f"# gd_iterations={gd_iters} r_squared={fit:.4f}",
         "param,iterations,ratio,predicted_ratio,total_bits,status",
     ]
@@ -324,7 +320,7 @@ def cmd_sweep(args):
         xlabel=axis,
         ylabel="iterations / GD iterations",
         metadata={"family": args.family, "dataset": args.dataset,
-                  "eps": args.eps, "seed": seed, "version": __version__},
+                  "eps": args.eps, "seed": args.seed, "version": __version__},
     )
     _write_text(os.path.join(args.outdir, f"sweep_{args.family}.svg"), svg)
     print(f"gd_iterations={gd_iters} r_squared={fit:.4f}")
@@ -416,6 +412,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) is None:  # only subcommands with --seed
+            args.seed = default_seed()
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ the identical sample sequence.
 
 import dataclasses
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,12 +69,24 @@ def _outcome(x, reconstructed, payload):
     )
 
 
-def _f32(value):
-    """value rounded to binary32; ValueError where that overflows."""
-    try:
-        return struct.unpack(">f", struct.pack(">f", value))[0]
-    except OverflowError as exc:
-        raise ValueError(f"{value} overflows binary32") from exc
+def _scale_field(value):
+    """(the 31-bit scale field of value, the value a decoder reads back
+    from it); ValueError where value overflows binary32."""
+    field = bitio.write_float_magnitude(value)
+    return field, bitio.read_float_magnitude(BitCursor(field))
+
+
+def _direction(x):
+    """(||x||, the unit direction x / ||x||); the direction of x = 0 is x."""
+    norm = math.sqrt(float(np.dot(x, x)))
+    return norm, (x / norm if norm > 0.0 else x)
+
+
+def _stochastic_levels(t, rng):
+    """Round each t_i >= 0 to floor(t_i) or floor(t_i) + 1, up with
+    probability t_i - floor(t_i), so the expected level is t_i."""
+    base = np.floor(t)
+    return (base + (rng.random(t.size) < (t - base))).astype(np.int64)
 
 
 def _read_payload(bits: BitString, read, *args):
@@ -101,17 +112,18 @@ def _sd_vector(d, gamma, zero_positions, sign_bits, levels):
     return rec
 
 
-def _sd_compress(x, levels, signs, gamma):
+def _sd_compress(x, levels, negative, gamma):
     """The sparse-dithering layout: the wire scale gamma, the zero count,
-    the zero set's rank, then a sign bit and a unary level per nonzero
-    level; with no nonzero level, gamma = 0.  Returns (payload, outcome)."""
+    the zero set's rank, then a sign bit (from the boolean mask
+    `negative`) and a unary level per nonzero level; with no nonzero
+    level, gamma = 0.  Returns (payload, outcome)."""
     d = x.size
     nz = levels > 0
-    gamma = _f32(gamma) if nz.any() else 0.0
+    gamma_field, gamma = _scale_field(gamma if nz.any() else 0.0)
     zeros = np.flatnonzero(~nz)
-    sign_bits = (signs[nz] < 0).astype(np.uint8)
+    sign_bits = negative[nz].astype(np.uint8)
     payload = BitString.concat([
-        bitio.write_float_magnitude(gamma),
+        gamma_field,
         bitio.write_fixed(zeros.size, d.bit_length()),
         bitio.write_subset(zeros.tolist(), d, zeros.size),
         BitString(sign_bits),
@@ -141,10 +153,9 @@ def dsd_quantize(x, nu):
     """
     x = _as_vector(x)
     check_param("nu", nu)
-    norm = math.sqrt(float(np.dot(x, x)))
+    norm, u = _direction(x)
     if norm == 0.0:
         return np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=np.int64)
-    u = x / norm
     h = math.sqrt(nu / x.size)
     t = np.abs(u) / (2.0 * h)
     levels = np.ceil(t - 0.5).astype(np.int64)
@@ -164,7 +175,7 @@ def dsd_compress(x, nu):
         h = math.sqrt(nu / x.size)
         u_hat = signs * (2.0 * h) * levels
         gamma = 2.0 * h * float(np.dot(x, u_hat) / np.dot(u_hat, u_hat))
-    return _sd_compress(x, levels, signs, gamma)
+    return _sd_compress(x, levels, signs < 0, gamma)
 
 
 def dsd_decompress(bits: BitString, d):
@@ -180,14 +191,10 @@ def rsd_compress(x, nu, rng: np.random.Generator):
     x = _as_vector(x)
     d = x.size
     check_param("nu", nu)
-    norm = math.sqrt(float(np.dot(x, x)))
-    u = x / norm if norm > 0.0 else x  # x = 0 rounds every level to 0
+    norm, u = _direction(x)  # x = 0 rounds every level to 0
     h = math.sqrt(nu / d)
-    t = np.abs(u) / (2.0 * h)
-    base = np.floor(t)
-    levels = (base + (rng.random(d) < (t - base))).astype(np.int64)
-    signs = np.where(u >= 0.0, 1, -1).astype(np.int64)
-    return _sd_compress(x, levels, signs, 2.0 * h * norm)
+    levels = _stochastic_levels(np.abs(u) / (2.0 * h), rng)
+    return _sd_compress(x, levels, u < 0.0, 2.0 * h * norm)
 
 
 # --- spherical compression -----------------------------------------------
@@ -206,9 +213,20 @@ def sc_trial_cap(p):
         raise ValueError(f"no trial budget for cap probability {p}") from None
 
 
-def _sc_block_rows(d):
-    """Most Gaussian rows of length d that one draw holds, on either side."""
-    return max(8, min(1 << 16, (1 << 22) // d))
+def _sc_candidates(seed, message_index, d, rows):
+    """The first `rows` keyed Gaussian candidates of length d, as
+    (index of the first row, block) in blocks of 8, 32, 128, ... rows,
+    each at most 2^22 values and 2^16 rows (but at least 8 rows).  The
+    encoder scans it to its trial cap, the decoder reads it to row T:
+    both sides draw the same blocks."""
+    rng = message_stream(seed, message_index)
+    most = max(8, min(1 << 16, (1 << 22) // d))
+    drawn, block = 0, 8
+    while drawn < rows:
+        n = min(block, rows - drawn)
+        yield drawn, rng.standard_normal((n, d))
+        drawn += n
+        block = min(4 * block, most)
 
 
 def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
@@ -223,26 +241,17 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     x = _as_vector(x)
     d = x.size
     norm = math.sqrt(float(np.dot(x, x)))
-    norm_field = bitio.write_float_magnitude(norm)
+    norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
         return norm_field, _outcome(x, np.zeros(d), norm_field)
-    params = CapParams(alpha, d)
-    p = cap_probability(params)
+    p = cap_probability(CapParams(alpha, d))
     m = bitio.golomb_rice_params(p)
     cap = sc_trial_cap(p) if trial_cap is None else trial_cap
-    norm32 = _f32(norm)
     scale = norm32 * math.sqrt(1.0 - alpha)
     threshold = alpha * norm * norm
     base2 = scale * scale + norm * norm
 
-    rng = message_stream(seed, message_index)
-    drawn = 0
-    block = 8
-    max_block = _sc_block_rows(d)
-    T = None
-    while drawn < cap and T is None:
-        n = min(block, cap - drawn)
-        w = rng.standard_normal((n, d))
+    for first, w in _sc_candidates(seed, message_index, d, cap):
         norms = np.linalg.norm(w, axis=1)
         if not (norms > 0.0).all():
             raise ArithmeticError("degenerate zero-norm Gaussian draw")
@@ -254,16 +263,9 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
             rec = _sc_vector(norm32, alpha, w[i])
             err = rec - x
             if float(np.dot(err, err)) <= threshold:
-                T = drawn + int(i) + 1
-                break
-        drawn += n
-        block = min(block * 4, max_block)
-    if T is None:
-        raise GiveUpError(
-            f"no accepted point within {cap} trials (alpha={alpha}, d={d})"
-        )
-    payload = norm_field + bitio.golomb_rice_encode(T, m)
-    return payload, _outcome(x, rec, payload)
+                payload = norm_field + bitio.golomb_rice_encode(first + int(i) + 1, m)
+                return payload, _outcome(x, rec, payload)
+    raise GiveUpError(f"no accepted point within {cap} trials (alpha={alpha}, d={d})")
 
 
 def _sc_read(cursor, d, alpha):
@@ -285,16 +287,9 @@ def sc_decompress(bits: BitString, d, alpha, seed, message_index=0):
         return np.zeros(d)
     if T > cap:
         raise bitio.MalformedCodeError(f"trial count {T} exceeds the cap {cap}")
-    rng = message_stream(seed, message_index)
-    rows = _sc_block_rows(d)
-    left = T
-    last = None
-    while left > 0:
-        n = min(left, rows)
-        w = rng.standard_normal((n, d))
-        last = w[-1]
-        left -= n
-    return _sc_vector(norm, alpha, last)
+    for _, w in _sc_candidates(seed, message_index, d, T):
+        pass  # the last block ends at row T
+    return _sc_vector(norm, alpha, w[-1])
 
 
 # --- baselines -------------------------------------------------------------
@@ -363,21 +358,18 @@ def std_dither(x, s, rng: np.random.Generator):
     x = _as_vector(x)
     d = x.size
     check_param("levels", s)
-    norm = math.sqrt(float(np.dot(x, x)))
+    norm, u = _direction(x)
+    norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
-        payload = bitio.write_float_magnitude(0.0)
-        return payload, _outcome(x, np.zeros(d), payload)
-    u = x / norm
-    t = s * np.abs(u)
-    base = np.floor(t)
-    levels = (base + (rng.random(d) < (t - base))).astype(np.int64)
+        return norm_field, _outcome(x, np.zeros(d), norm_field)
+    levels = _stochastic_levels(s * np.abs(u), rng)
     sign_bits = (u[levels > 0] < 0.0).astype(np.uint8)
     payload = BitString.concat([
-        bitio.write_float_magnitude(norm),
+        norm_field,
         bitio.write_unary_block(levels + 1),
         BitString(sign_bits),
     ])
-    return payload, _outcome(x, _dither_vector(_f32(norm), levels, sign_bits, s), payload)
+    return payload, _outcome(x, _dither_vector(norm32, levels, sign_bits, s), payload)
 
 
 def _dither_read(cursor, d, s):
@@ -459,7 +451,7 @@ def identity_decompress(bits: BitString, d):
 def contract_wrap(outcome: CompressionOutcome, omega, x):
     """Embed an unbiased operator into the contractive class: scale the
     reconstruction by 1/(1+omega), keeping the payload bits."""
-    if omega < 0.0:
+    if not omega >= 0.0:
         raise ValueError(f"omega must be >= 0, got {omega}")
     x = _as_vector(x)
     rec = outcome.reconstructed / (1.0 + omega)
@@ -561,7 +553,7 @@ def check_wrap(kind, omega):
     """Reject a contract wrap that no encoder of `kind` can produce."""
     if not CODECS[kind].unbiased:
         raise ValueError(f"contract wrap requires an unbiased operator, not {kind}")
-    if omega < 0.0:
+    if not omega >= 0.0:
         raise ValueError("wrap omega must be >= 0")
 
 
@@ -579,7 +571,7 @@ class OperatorConfig:
     """Tagged operator description; exactly the fields for `kind` apply."""
 
     kind: str
-    nu: float = _param("sparse dithering variance target", "> 0", lambda v: v <= 0.0)
+    nu: float = _param("sparse dithering variance target", "> 0", lambda v: not v > 0.0)
     alpha: float = _param("spherical compression contraction", "in (0,1)",
                           lambda v: not 0.0 < v < 1.0)
     k: int = _param("sparsification count", ">= 1", lambda v: v < 1)

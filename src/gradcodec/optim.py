@@ -179,6 +179,8 @@ def cgd_run(problem: Problem, config: OperatorConfig, eps=1e-4,
     x* and L may be passed in to amortize their computation across a
     sweep; they are recomputed otherwise.
     """
+    if not eps > 0.0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     if L is None:
         L = smoothness(problem)
     if x_star is None:
@@ -286,6 +288,8 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
     and per-row status.
     """
     _family(family)
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     L = smoothness(problem)
     x_star = minimizer(problem)
     base = cgd_run(problem, OperatorConfig("identity"), eps=eps, x_star=x_star, L=L)

@@ -333,3 +333,73 @@ class TestBenchAndSweep:
         ]) == 0
         out = capsys.readouterr().out
         assert out.count("iterations=0") == 2
+
+
+class TestRejectedSettings:
+    @pytest.mark.parametrize("flags", [
+        ["--op", "rsd", "--nu", "nan"],
+        ["--op", "identity", "--wrap-omega", "nan"],
+    ], ids=["nu", "wrap-omega"])
+    def test_nan_operator_parameter_exits_3(self, tmp_path, capsys, flags):
+        vec = tmp_path / "v.txt"
+        vec.write_text("1 -2 3")
+        assert run(["compress", *flags, "--in", str(vec),
+                    "--out", str(tmp_path / "o")]) == 3
+        assert "must be" in capsys.readouterr().err
+
+    def test_decompress_nan_wrap_exits_3(self, tmp_path, capsys):
+        vec = tmp_path / "v.txt"
+        vec.write_text("1 -2 3")
+        msg = tmp_path / "m.gcv"
+        assert run(["compress", "--op", "identity", "--in", str(vec),
+                    "--out", str(msg)]) == 0
+        capsys.readouterr()
+        assert run(["decompress", "--in", str(msg), "--wrap-omega", "nan"]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1"])
+    def test_bench_eps_must_be_positive(self, tmp_path, eps):
+        start = time.perf_counter()
+        assert run(["bench", "--dataset", "synth:ridge:d=6,n=24,seed=3",
+                    "--ops", "identity", f"--eps={eps}", "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 5.0
+
+    def test_sweep_needs_a_repeat(self, tmp_path):
+        start = time.perf_counter()
+        assert run(["sweep", "--family", "rsd", "--grid", "0.1",
+                    "--dataset", "synth:ridge:d=6,n=24,seed=3", "--repeats", "0",
+                    "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 5.0
+        assert not os.listdir(tmp_path)
+
+
+class TestSeedEnvironment:
+    def test_env_seed_acts_as_the_flag(self, tmp_path, monkeypatch, capsys):
+        vec = tmp_path / "v.txt"
+        vec.write_text("0.5 -1.25 2 0.125 -3 0.75")
+        compress = ["compress", "--op", "rsd", "--nu", "0.25", "--in", str(vec)]
+        flag, env, default = (tmp_path / name for name in ("flag", "env", "default"))
+        assert run([*compress, "--seed", "5", "--out", str(flag)]) == 0
+        assert run([*compress, "--out", str(default)]) == 0
+        monkeypatch.setenv("GRADCODEC_SEED", "5")
+        assert run([*compress, "--out", str(env)]) == 0
+        assert env.read_bytes() == flag.read_bytes() != default.read_bytes()
+        capsys.readouterr()
+        assert run(["decompress", "--in", str(env)]) == 0
+        decoded = capsys.readouterr().out
+        monkeypatch.delenv("GRADCODEC_SEED")
+        assert run(["decompress", "--in", str(flag), "--seed", "5"]) == 0
+        assert capsys.readouterr().out == decoded
+
+    @pytest.mark.parametrize("command,code", [("compress", 3), ("bounds", 0)])
+    def test_bad_env_seed_only_fails_seeded_commands(self, tmp_path, monkeypatch,
+                                                     command, code):
+        vec = tmp_path / "v.txt"
+        vec.write_text("1 -2 3")
+        argv = {
+            "compress": ["compress", "--op", "dsd", "--nu", "0.1", "--in", str(vec),
+                         "--out", str(tmp_path / "o")],
+            "bounds": ["bounds", "--alpha", "0.5", "--d", "10"],
+        }[command]
+        monkeypatch.setenv("GRADCODEC_SEED", "x")
+        assert run(argv) == code

@@ -112,6 +112,8 @@ class TestDeterministicSparseDithering:
             comp.dsd_compress([1.0, math.nan], 0.1)
         with pytest.raises(ValueError):
             comp.dsd_compress([1.0], 0.0)
+        with pytest.raises(ValueError):
+            OperatorConfig("rsd", nu=math.nan)
 
     def test_truncated_payload(self):
         payload, _ = comp.dsd_compress(np.array([3.0, 4.0]), 0.1)
@@ -252,10 +254,9 @@ class TestSphericalCompression:
         with pytest.raises(bitio.MalformedCodeError):
             comp.sc_decompress(fake, 3, 0.5, 1, 0)
 
-    def test_replay_draws_at_most_the_encoder_rows(self, monkeypatch):
-        # at d=4096 the encoder draws at most 1024 rows at a time; the
-        # replay keeps to the same budget and still lands on row T
-        d, alpha, T = 4096, 0.9, 1100
+    @staticmethod
+    def record_draws(monkeypatch):
+        """The (rows, d) shape of every Gaussian block the codec draws."""
         shapes = []
 
         class Recording:
@@ -268,13 +269,37 @@ class TestSphericalCompression:
 
         monkeypatch.setattr(comp, "message_stream",
                             lambda seed, i: Recording(message_stream(seed, i)))
+        return shapes
+
+    def test_replay_draws_at_most_the_encoder_rows(self, monkeypatch):
+        # at d=4096 a block holds at most 2^22 values, 1024 rows; the
+        # replay reads the encoder's blocks and cuts the last at row T
+        d, alpha, T = 4096, 0.9, 1100
+        shapes = self.record_draws(monkeypatch)
         m = bitio.golomb_rice_params(cap_probability(CapParams(alpha, d)))
         payload = bitio.write_float_magnitude(2.0) + bitio.golomb_rice_encode(T, m)
         rec = comp.sc_decompress(payload, d, alpha, 7, 0)
-        assert max(rows for rows, _ in shapes) == 1024
-        assert sum(rows for rows, _ in shapes) == T
+        assert shapes == [(rows, d) for rows in (8, 32, 128, 512, 420)]
         w = message_stream(7, 0).standard_normal((T, d))[-1]
         assert np.array_equal(rec, comp._sc_vector(2.0, alpha, w))
+
+    def test_decoder_reads_the_encoder_blocks(self, monkeypatch):
+        # d=20, alpha=0.5: 1/P near 5.9e3, so T spans several blocks
+        d, alpha = 20, 0.5
+        shapes = self.record_draws(monkeypatch)
+        x = message_stream(55, 0).standard_normal(d)
+        payload, out = comp.sc_compress(x, alpha, 56, 0)
+        encoder = list(shapes)
+        shapes.clear()
+        assert np.array_equal(comp.sc_decompress(payload, d, alpha, 56, 0),
+                              out.reconstructed)
+        cursor = BitCursor(payload)
+        bitio.read_float_magnitude(cursor)
+        T = bitio.golomb_rice_decode(
+            cursor, bitio.golomb_rice_params(cap_probability(CapParams(alpha, d))))
+        first = sum(rows for rows, _ in encoder[:-1])
+        assert len(encoder) >= 3 and first < T <= first + encoder[-1][0]
+        assert shapes == encoder[:-1] + [(T - first, d)]
 
     def test_payload_sandwich_high_dimension(self):
         # feasible d=50 setting: alpha=0.98 keeps 1/P small
@@ -478,6 +503,14 @@ class TestContractWrap:
     def test_wrap_requires_unbiased(self):
         with pytest.raises(ValueError):
             OperatorConfig("dsd", nu=0.1, wrap_omega=0.5)
+
+    def test_nan_omega_rejected(self):
+        x = np.array([1.0, 2.0])
+        _, out = comp.identity_compress(x)
+        with pytest.raises(ValueError):
+            contract_wrap(out, math.nan, x)
+        with pytest.raises(ValueError):
+            OperatorConfig("identity", wrap_omega=math.nan)
 
 
 class TestOperator:

@@ -13,7 +13,7 @@ import numpy as np
 
 from gradcodec import bitio
 from gradcodec.cli import main
-from gradcodec.compressors import make_operator
+from gradcodec.compressors import CODECS, make_operator
 from gradcodec.rng import message_stream
 from gradcodec.selftest import roundtrip_configs
 
@@ -142,6 +142,13 @@ def trace_digests(outdir):
                            if not line.startswith("# version="))
             out[f"{loss}/{path.name}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
+
+
+def test_roundtrip_configs_cover_the_codec_table():
+    # criterion 1 and the wire digests check exactly these kinds; sc needs d >= 2
+    for d in DIMS:
+        assert sorted(c.kind for c in roundtrip_configs(d)) == sorted(CODECS)
+    assert sorted(c.kind for c in roundtrip_configs(1)) == sorted(set(CODECS) - {"sc"})
 
 
 def test_wire_digests():
