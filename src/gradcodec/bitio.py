@@ -463,6 +463,8 @@ def write_float_magnitude(value) -> BitString:
 
 def read_float_magnitude(cursor: BitCursor):
     word = cursor.read_bits(31)
+    if word >= 0x7F800000:  # all exponent bits set: inf or NaN, which no encoder writes
+        raise MalformedCodeError(f"non-finite binary32 field {word:#x}")
     return struct.unpack(">f", word.to_bytes(4, "big"))[0]
 
 
@@ -477,7 +479,10 @@ def write_float32_block(values) -> BitString:
 
 
 def read_float32_block(cursor: BitCursor, count):
-    return cursor.read_bytes(4 * count).view(">f4").astype(np.float64)
+    values = cursor.read_bytes(4 * count).view(">f4").astype(np.float64)
+    if not math.isfinite(values.sum()):  # no sum of finite binary32 values overflows
+        raise MalformedCodeError("non-finite binary32 value")
+    return values
 
 
 # --- message container -------------------------------------------------

@@ -71,9 +71,13 @@ def _outcome(x, reconstructed, payload):
 
 def _scale_field(value):
     """(the 31-bit scale field of value, the value a decoder reads back
-    from it); ValueError where value overflows binary32."""
+    from it); ValueError where value overflows binary32 or a positive
+    value reads back as 0, so a zero field is exactly a zero message."""
     field = bitio.write_float_magnitude(value)
-    return field, bitio.read_float_magnitude(BitCursor(field))
+    back = bitio.read_float_magnitude(BitCursor(field))
+    if value > 0.0 and back == 0.0:
+        raise ValueError(f"scale {value} is below binary32's smallest subnormal")
+    return field, back
 
 
 def _direction(x):
@@ -204,11 +208,14 @@ def _sc_vector(norm, alpha, w):
     return norm * math.sqrt(1.0 - alpha) * (w / np.linalg.norm(w))
 
 
-def sc_trial_cap(p):
-    """Trial budget 50 ceil(1/p); exceeding it has probability <= e^-50.
-    ValueError where 1/p overflows a float."""
+def sc_code(alpha, d):
+    """SC's trial code at (alpha, d): (the Rice parameter m of T, the
+    trial cap 50 ceil(1/P)); exceeding the cap has probability <= e^-50.
+    ValueError where 1/P overflows a float."""
+    p = cap_probability(CapParams(alpha, d))
+    m = bitio.golomb_rice_params(p)
     try:
-        return 50 * math.ceil(1.0 / p)
+        return m, 50 * math.ceil(1.0 / p)
     except OverflowError:
         raise ValueError(f"no trial budget for cap probability {p}") from None
 
@@ -244,9 +251,9 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
         return norm_field, _outcome(x, np.zeros(d), norm_field)
-    p = cap_probability(CapParams(alpha, d))
-    m = bitio.golomb_rice_params(p)
-    cap = sc_trial_cap(p) if trial_cap is None else trial_cap
+    m, cap = sc_code(alpha, d)
+    if trial_cap is not None:
+        cap = trial_cap
     scale = norm32 * math.sqrt(1.0 - alpha)
     threshold = alpha * norm * norm
     base2 = scale * scale + norm * norm
@@ -269,24 +276,24 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
 
 
 def _sc_read(cursor, d, alpha):
-    """(norm, T, trial cap); T = 0 for the zero message."""
+    """(norm, T); T = 0 for the zero message.  MalformedCodeError where
+    T exceeds the trial cap, which no encoder reaches."""
     norm = bitio.read_float_magnitude(cursor)
     if norm == 0.0:
-        return norm, 0, 0
-    p = cap_probability(CapParams(alpha, d))
-    cap = sc_trial_cap(p)
-    T = bitio.golomb_rice_decode(cursor, bitio.golomb_rice_params(p))
-    return norm, T, cap
+        return norm, 0
+    m, cap = sc_code(alpha, d)
+    T = bitio.golomb_rice_decode(cursor, m)
+    if T > cap:
+        raise bitio.MalformedCodeError(f"trial count {T} exceeds the cap {cap}")
+    return norm, T
 
 
 def sc_decompress(bits: BitString, d, alpha, seed, message_index=0):
     """Replay the encoder's keyed sample stream for T trials and rescale."""
     # the payload is checked whole before the replay, whose cost grows with T
-    norm, T, cap = _read_payload(bits, _sc_read, d, alpha)
+    norm, T = _read_payload(bits, _sc_read, d, alpha)
     if norm == 0.0:
         return np.zeros(d)
-    if T > cap:
-        raise bitio.MalformedCodeError(f"trial count {T} exceeds the cap {cap}")
     for _, w in _sc_candidates(seed, message_index, d, T):
         pass  # the last block ends at row T
     return _sc_vector(norm, alpha, w[-1])
@@ -434,6 +441,8 @@ def natural_compress(x, rng: np.random.Generator):
 def natural_decompress(bits: BitString, d):
     chunk = _read_payload(bits, BitCursor._take, 9 * d).reshape(d, 9)
     efield = np.packbits(chunk[:, 1:], axis=1).reshape(d).astype(np.int16)
+    if efield.max(initial=0) == 255:
+        raise bitio.MalformedCodeError("exponent field 255 (2^128), above binary32's range")
     return _natural_vector(chunk[:, 0], efield)
 
 
@@ -632,21 +641,14 @@ def decode_payload(config, bits, d, message_index=0):
 
 
 class Operator:
-    """A configured operator with a per-message counter for seed derivation."""
+    """A configured operator; the caller names each message's index."""
 
     def __init__(self, config: OperatorConfig):
         self.config = config
-        self.message_index = 0
 
     @property
     def tag(self):
         return CODECS[self.config.kind].tag
-
-    def compress(self, x):
-        """Compress one message; advances the message counter."""
-        idx = self.message_index
-        self.message_index += 1
-        return self.compress_at(x, idx)
 
     def compress_at(self, x, message_index):
         c = self.config
@@ -655,7 +657,7 @@ class Operator:
             out = contract_wrap(out, c.wrap_omega, x)
         return payload, out
 
-    def decompress(self, bits, d, message_index=0):
+    def decompress(self, bits, d, message_index):
         return decode_payload(self.config, bits, d, message_index)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 _BETACF_EPS = 1e-15
 _BETACF_TINY = 1e-300
 _BETACF_MAX_ITER = 500
-_ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,25 +50,18 @@ def _betacf(a, b, x):
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETACF_TINY:
-            d = _BETACF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETACF_TINY:
-            c = _BETACF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even step's coefficient, then the odd step's
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _BETACF_TINY:
+                d = _BETACF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _BETACF_TINY:
+                c = _BETACF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_EPS:
             return h
     raise RuntimeError(

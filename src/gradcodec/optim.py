@@ -200,7 +200,7 @@ def cgd_run(problem: Problem, config: OperatorConfig, eps=1e-4,
         cum_bits = 0
         for t in range(1, max_iter + 1):
             g = gradient(problem, x)
-            _, out = op.compress(g)
+            _, out = op.compress_at(g, t - 1)
             x = x - out.reconstructed / L
             cum_bits += out.bits
             diff = x - x_star

@@ -73,19 +73,17 @@ class _Axis:
         return _ticks_linear(self.lo, self.hi)
 
 
-def line_plot(series, title="", xlabel="", ylabel="", xlog=False, ylog=False,
-              metadata=None):
-    """Render (label, xs, ys) series to an SVG string.
+def line_plot(series, title="", xlabel="", ylabel="", ylog=False, metadata=None):
+    """Render (label, xs, ys) series to an SVG string, x on a linear axis.
 
-    Points with non-positive values on a log axis are dropped.
+    Points with non-positive y on a log axis are dropped.
     """
     cleaned = []
     for label, xs, ys in series:
         pts = [
             (float(x), float(y))
             for x, y in zip(xs, ys)
-            if (not xlog or x > 0) and (not ylog or y > 0)
-            and math.isfinite(x) and math.isfinite(y)
+            if (not ylog or y > 0) and math.isfinite(x) and math.isfinite(y)
         ]
         if pts:
             cleaned.append((label, pts))
@@ -94,7 +92,7 @@ def line_plot(series, title="", xlabel="", ylabel="", xlog=False, ylog=False,
 
     all_x = [p[0] for _, pts in cleaned for p in pts]
     all_y = [p[1] for _, pts in cleaned for p in pts]
-    xaxis = _Axis(min(all_x), max(all_x), _MARGIN_L, _WIDTH - _MARGIN_R, log=xlog)
+    xaxis = _Axis(min(all_x), max(all_x), _MARGIN_L, _WIDTH - _MARGIN_R)
     yaxis = _Axis(min(all_y), max(all_y), _HEIGHT - _MARGIN_B, _MARGIN_T, log=ylog)
 
     out = []

@@ -429,6 +429,22 @@ class TestFloatMagnitude:
         with pytest.raises(ValueError):
             bitio.write_float_magnitude(bad)
 
+    def test_largest_finite_field_reads_back(self):
+        cur = BitCursor(BitString.from_int(0x7F7FFFFF, 31))
+        assert bitio.read_float_magnitude(cur) == float(np.finfo(np.float32).max)
+
+    @pytest.mark.parametrize("word", [0x7F800000, 0x7FC00000, 0x7FFFFFFF], ids=hex)
+    def test_non_finite_field_is_malformed(self, word):
+        # all exponent bits set: inf or NaN, which no encoder writes
+        with pytest.raises(MalformedCodeError):
+            bitio.read_float_magnitude(BitCursor(BitString.from_int(word, 31)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_block_value_is_malformed(self, bad):
+        raw = struct.pack(">3f", 1.0, bad, -2.0)
+        with pytest.raises(MalformedCodeError):
+            bitio.read_float32_block(BitCursor(BitString.from_bytes(raw, 96)), 3)
+
     @given(st.floats(-1e6, 1e6))
     def test_signed_float32_round_trip(self, value):
         cur = BitCursor(bitio.write_float32_block([value]))

@@ -9,13 +9,46 @@ import pytest
 from gradcodec import bitio
 from gradcodec.bitio import BitString
 from gradcodec.cli import _parse_ops_list, build_parser, main
-from gradcodec.compressors import CODECS, OPERATOR_TAGS, PARAMS, OperatorConfig
+from gradcodec.compressors import (CODECS, OPERATOR_TAGS, PARAMS, OperatorConfig,
+                                   make_operator)
 from gradcodec.geometry import CapParams, cap_probability
 from gradcodec.optim import SWEEP_FAMILIES
 
 
 def run(args):
     return main(list(args))
+
+
+# a value for every operator parameter, as its CLI flag
+PARAM_VALUES = {"nu": "0.25", "alpha": "0.5", "k": "2", "levels": "3"}
+
+
+def flags(names):
+    return [arg for name in names for arg in (f"--{name}", PARAM_VALUES[name])]
+
+
+# (first bit, width, value) of a payload field no encoder writes: an
+# inf or NaN scale or value, or natural's exponent field 255 (2^128)
+NON_FINITE_FIELDS = {
+    "dsd": (0, 31, 0x7F800000),
+    "rsd": (0, 31, 0x7FC00000),
+    "sc": (0, 31, 0x7F800000),
+    "dither": (0, 31, 0x7FC00000),
+    "ternary": (0, 31, 0x7FFFFFFF),
+    "topk": (0, 32, 0xFF800000),
+    "randsparse": (32, 32, 0x7FC00000),
+    "identity": (32, 32, 0x7F800000),
+    "natural": (1, 8, 0xFF),
+}
+
+
+def compress_file(tmp_path, kind, x, seed=0):
+    """Compress x with `kind` through the CLI; returns the container path."""
+    vec, msg = tmp_path / "vec.txt", tmp_path / f"{kind}.gcv"
+    vec.write_text(" ".join(repr(float(v)) for v in x))
+    assert run(["compress", "--op", kind, *flags(CODECS[kind].params), "--seed", str(seed),
+                "--in", str(vec), "--out", str(msg)]) == 0
+    return msg
 
 
 class TestCompressDecompress:
@@ -109,6 +142,19 @@ class TestCompressDecompress:
             assert item in text
 
     @pytest.mark.parametrize("kind", CODECS)
+    def test_decodes_with_only_the_decode_flags(self, tmp_path, capsys, kind):
+        x = np.array([3.0, -4.0, 0.5, 1.25])
+        msg = compress_file(tmp_path, kind, x, seed=7)
+        capsys.readouterr()
+        assert run(["decompress", "--in", str(msg), "--seed", "7",
+                    *flags(CODECS[kind].decode_params)]) == 0
+        rec = np.array([float(t) for t in capsys.readouterr().out.split()])
+        config = OperatorConfig(kind, seed=7, **{
+            name: PARAMS[name].type(PARAM_VALUES[name]) for name in CODECS[kind].params})
+        _, out = make_operator(config).compress_at(x, 0)
+        assert rec.tobytes() == out.reconstructed.tobytes()
+
+    @pytest.mark.parametrize("kind", CODECS)
     def test_codec_params_are_operator_flags(self, kind):
         parser = build_parser()
         for name in CODECS[kind].params + CODECS[kind].decode_params:
@@ -168,6 +214,26 @@ class TestErrorPaths:
             bad.write_bytes(blob[:-1] + bytes([blob[-1] | 1]))
         assert run(["decompress", "--in", str(bad)]) == 2
         assert "payload bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", NON_FINITE_FIELDS)
+    def test_non_finite_field_exits_2(self, tmp_path, capsys, kind):
+        start, width, word = NON_FINITE_FIELDS[kind]
+        msg = compress_file(tmp_path, kind, [3.0, -4.0, 0.5, 1.25])
+        tag, d, payload = bitio.unpack_container(msg.read_bytes())
+        bits = payload.to01()
+        bits = bits[:start] + format(word, f"0{width}b") + bits[start + width:]
+        msg.write_bytes(bitio.pack_container(tag, d, BitString([int(b) for b in bits])))
+        capsys.readouterr()
+        assert run(["decompress", "--in", str(msg), *flags(CODECS[kind].decode_params)]) == 2
+        assert "binary32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["dsd", "rsd", "dither", "ternary", "sc"])
+    def test_scale_below_binary32_exits_3(self, tmp_path, capsys, kind):
+        vec = tmp_path / "v.txt"
+        vec.write_text("1e-100 -2e-100 3e-100")
+        assert run(["compress", "--op", kind, *flags(CODECS[kind].params), "--in", str(vec),
+                    "--out", str(tmp_path / "o")]) == 3
+        assert "smallest subnormal" in capsys.readouterr().err
 
     def test_dimension_above_max_d_exits_2(self, tmp_path, capsys):
         # 21 bytes: a dsd header near d = 2^32 over a zero scale and a

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -247,10 +248,8 @@ class TestSphericalCompression:
             comp.sc_compress(x, 0.3, 52, 0, trial_cap=1)
 
     def test_decoder_rejects_absurd_trial_count(self):
-        p = cap_probability(CapParams(0.5, 3))
-        m = bitio.golomb_rice_params(p)
-        fake = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(
-            comp.sc_trial_cap(p) + 1, m)
+        m, cap = comp.sc_code(0.5, 3)
+        fake = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(cap + 1, m)
         with pytest.raises(bitio.MalformedCodeError):
             comp.sc_decompress(fake, 3, 0.5, 1, 0)
 
@@ -517,11 +516,11 @@ class TestOperator:
     def test_counter_advances_streams(self):
         op = make_operator(OperatorConfig("rsd", nu=0.25, seed=3))
         x = message_stream(19, 0).standard_normal(50)
-        p1, _ = op.compress(x)
-        p2, _ = op.compress(x)
+        p1, _ = op.compress_at(x, 0)
+        p2, _ = op.compress_at(x, 1)
         assert p1 != p2  # different message streams
         op2 = make_operator(OperatorConfig("rsd", nu=0.25, seed=3))
-        q1, _ = op2.compress(x)
+        q1, _ = op2.compress_at(x, 0)
         assert p1 == q1  # same config replays identically
 
     def test_wrapped_decompress_matches_outcome(self):
@@ -574,6 +573,16 @@ class TestOperator:
         x = np.full(24, 1e39)
         with pytest.raises(ValueError):
             make_operator(CONFIGS[kind]).compress_at(x, 0)
+
+    @pytest.mark.parametrize("kind", ["dsd", "rsd", "dither", "ternary", "sc"])
+    def test_rejects_scale_below_binary32(self, kind):
+        # the scale field would read 0, which decoders take for x = 0
+        x = np.array([1e-100, -2e-100, 3e-100])
+        op = make_operator(CONFIGS[kind])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="smallest subnormal"):
+            op.compress_at(x, 0)
+        assert time.perf_counter() - start < 0.01
 
     @pytest.mark.parametrize("kind", CODECS)
     def test_rejects_appended_or_missing_bit(self, kind):
