@@ -18,7 +18,9 @@ the identical sample sequence.
 """
 
 import dataclasses
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,8 +75,8 @@ def _scale_field(value):
     """(the 31-bit scale field of value, the value a decoder reads back
     from it); ValueError where value overflows binary32 or a positive
     value reads back as 0, so a zero field is exactly a zero message."""
-    field = bitio.write_float_magnitude(value)
-    back = bitio.read_float_magnitude(BitCursor(field))
+    field = bitio.write_float_magnitude(value)  # rejects what binary32 cannot hold
+    back = abs(struct.unpack(">f", struct.pack(">f", value))[0])  # the field has no sign bit
     if value > 0.0 and back == 0.0:
         raise ValueError(f"scale {value} is below binary32's smallest subnormal")
     return field, back
@@ -208,32 +210,42 @@ def _sc_vector(norm, alpha, w):
     return norm * math.sqrt(1.0 - alpha) * (w / np.linalg.norm(w))
 
 
+@functools.lru_cache(maxsize=256)
 def sc_code(alpha, d):
-    """SC's trial code at (alpha, d): (the Rice parameter m of T, the
-    trial cap 50 ceil(1/P)); exceeding the cap has probability <= e^-50.
-    ValueError where 1/P overflows a float."""
+    """SC's constants at (alpha, d): (the Rice parameter m of T, the
+    trial cap 50 ceil(1/P), the encoder's candidate block in rows).
+    Exceeding the cap has probability <= e^-50.  ValueError (not
+    cached) where 1/P overflows a float.
+
+    A block call costs about as much as drawing and scanning 512/d more
+    rows, and the encoder overshoots row T by half a block on average,
+    so sqrt(2 (1/P) 512/d) rows balance the two; clamped to
+    [8, _sc_largest_block(d)] rows."""
     p = cap_probability(CapParams(alpha, d))
     m = bitio.golomb_rice_params(p)
     try:
-        return m, 50 * math.ceil(1.0 / p)
+        cap = 50 * math.ceil(1.0 / p)
     except OverflowError:
         raise ValueError(f"no trial budget for cap probability {p}") from None
+    block = math.ceil(32.0 * math.sqrt(1.0 / (p * d)))  # 1/(p d) <= 1/p, finite
+    return m, cap, max(8, min(block, _sc_largest_block(d)))
 
 
-def _sc_candidates(seed, message_index, d, rows):
-    """The first `rows` keyed Gaussian candidates of length d, as
-    (index of the first row, block) in blocks of 8, 32, 128, ... rows,
-    each at most 2^22 values and 2^16 rows (but at least 8 rows).  The
-    encoder scans it to its trial cap, the decoder reads it to row T:
-    both sides draw the same blocks."""
+def _sc_largest_block(d):
+    """Rows in the largest candidate block: 2^22 values and 2^16 rows at
+    most, but at least 8 rows."""
+    return max(8, min(1 << 16, (1 << 22) // d))
+
+
+def _sc_candidates(seed, message_index, d, rows, block):
+    """The first `rows` keyed Gaussian candidates of length d, as (index
+    of the first row, the next `block` rows or fewer).  The draws are
+    split-invariant, so every block size yields the same rows: the
+    encoder scans sc_code's blocks to its trial cap, the decoder reads
+    the largest blocks to row T."""
     rng = message_stream(seed, message_index)
-    most = max(8, min(1 << 16, (1 << 22) // d))
-    drawn, block = 0, 8
-    while drawn < rows:
-        n = min(block, rows - drawn)
-        yield drawn, rng.standard_normal((n, d))
-        drawn += n
-        block = min(4 * block, most)
+    for first in range(0, rows, block):
+        yield first, rng.standard_normal((min(block, rows - first), d))
 
 
 def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
@@ -251,14 +263,14 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
         return norm_field, _outcome(x, np.zeros(d), norm_field)
-    m, cap = sc_code(alpha, d)
+    m, cap, block = sc_code(alpha, d)
     if trial_cap is not None:
         cap = trial_cap
     scale = norm32 * math.sqrt(1.0 - alpha)
     threshold = alpha * norm * norm
     base2 = scale * scale + norm * norm
 
-    for first, w in _sc_candidates(seed, message_index, d, cap):
+    for first, w in _sc_candidates(seed, message_index, d, cap, block):
         norms = np.linalg.norm(w, axis=1)
         if not (norms > 0.0).all():
             raise ArithmeticError("degenerate zero-norm Gaussian draw")
@@ -281,7 +293,7 @@ def _sc_read(cursor, d, alpha):
     norm = bitio.read_float_magnitude(cursor)
     if norm == 0.0:
         return norm, 0
-    m, cap = sc_code(alpha, d)
+    m, cap, _ = sc_code(alpha, d)
     T = bitio.golomb_rice_decode(cursor, m)
     if T > cap:
         raise bitio.MalformedCodeError(f"trial count {T} exceeds the cap {cap}")
@@ -294,7 +306,7 @@ def sc_decompress(bits: BitString, d, alpha, seed, message_index=0):
     norm, T = _read_payload(bits, _sc_read, d, alpha)
     if norm == 0.0:
         return np.zeros(d)
-    for _, w in _sc_candidates(seed, message_index, d, T):
+    for _, w in _sc_candidates(seed, message_index, d, T, _sc_largest_block(d)):
         pass  # the last block ends at row T
     return _sc_vector(norm, alpha, w[-1])
 

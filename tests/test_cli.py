@@ -296,6 +296,8 @@ class TestErrorPaths:
         vec.write_text(" ".join(["1"] * d))
         assert run(["compress", "--op", "sc", "--alpha", str(alpha),
                     "--in", str(vec), "--out", str(tmp_path / "o")]) == 3
+        # the Rice parameter is worked out here, not by compressors.sc_code,
+        # because sc_code rejects this cell
         payload = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(
             1, bitio.golomb_rice_params(p))
         msg = tmp_path / "m.gcv"

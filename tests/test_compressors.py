@@ -186,7 +186,7 @@ class TestSphericalCompression:
         alpha, d, n = 0.5, 3, 10_000
         p = cap_probability(CapParams(alpha, d))
         gen = message_stream(40, 0)
-        m = bitio.golomb_rice_params(p)
+        m = comp.sc_code(alpha, d)[0]
         ts = np.empty(n)
         for i in range(n):
             x = gen.standard_normal(d)
@@ -228,8 +228,7 @@ class TestSphericalCompression:
         assert violations >= 45
 
     def test_near_one_alpha_single_trial(self):
-        p = cap_probability(CapParams(0.999, 3))
-        m = bitio.golomb_rice_params(p)
+        m = comp.sc_code(0.999, 3)[0]
         bits = []
         gen = message_stream(49, 0)
         for i in range(20):
@@ -248,7 +247,7 @@ class TestSphericalCompression:
             comp.sc_compress(x, 0.3, 52, 0, trial_cap=1)
 
     def test_decoder_rejects_absurd_trial_count(self):
-        m, cap = comp.sc_code(0.5, 3)
+        m, cap, _ = comp.sc_code(0.5, 3)
         fake = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(cap + 1, m)
         with pytest.raises(bitio.MalformedCodeError):
             comp.sc_decompress(fake, 3, 0.5, 1, 0)
@@ -270,35 +269,47 @@ class TestSphericalCompression:
                             lambda seed, i: Recording(message_stream(seed, i)))
         return shapes
 
-    def test_replay_draws_at_most_the_encoder_rows(self, monkeypatch):
-        # at d=4096 a block holds at most 2^22 values, 1024 rows; the
-        # replay reads the encoder's blocks and cuts the last at row T
+    def test_replay_draws_exactly_t_rows(self, monkeypatch):
+        # at d=4096 a draw holds at most 2^22 values, 1024 rows
         d, alpha, T = 4096, 0.9, 1100
         shapes = self.record_draws(monkeypatch)
-        m = bitio.golomb_rice_params(cap_probability(CapParams(alpha, d)))
+        m = comp.sc_code(alpha, d)[0]
         payload = bitio.write_float_magnitude(2.0) + bitio.golomb_rice_encode(T, m)
         rec = comp.sc_decompress(payload, d, alpha, 7, 0)
-        assert shapes == [(rows, d) for rows in (8, 32, 128, 512, 420)]
+        assert sum(rows for rows, _ in shapes) == T
+        assert max(rows * cols for rows, cols in shapes) <= 1 << 22
         w = message_stream(7, 0).standard_normal((T, d))[-1]
         assert np.array_equal(rec, comp._sc_vector(2.0, alpha, w))
 
-    def test_decoder_reads_the_encoder_blocks(self, monkeypatch):
-        # d=20, alpha=0.5: 1/P near 5.9e3, so T spans several blocks
+    def test_encoder_draws_under_one_block_past_t(self, monkeypatch):
+        # d=20, alpha=0.5: 1/P near 5.9e3, so T often spans several blocks
         d, alpha = 20, 0.5
+        block = comp.sc_code(alpha, d)[2]
         shapes = self.record_draws(monkeypatch)
-        x = message_stream(55, 0).standard_normal(d)
-        payload, out = comp.sc_compress(x, alpha, 56, 0)
-        encoder = list(shapes)
-        shapes.clear()
-        assert np.array_equal(comp.sc_decompress(payload, d, alpha, 56, 0),
-                              out.reconstructed)
-        cursor = BitCursor(payload)
-        bitio.read_float_magnitude(cursor)
-        T = bitio.golomb_rice_decode(
-            cursor, bitio.golomb_rice_params(cap_probability(CapParams(alpha, d))))
-        first = sum(rows for rows, _ in encoder[:-1])
-        assert len(encoder) >= 3 and first < T <= first + encoder[-1][0]
-        assert shapes == encoder[:-1] + [(T - first, d)]
+        gen = message_stream(55, 0)
+        for i in range(20):
+            shapes.clear()
+            payload, out = comp.sc_compress(gen.standard_normal(d), alpha, 56, i)
+            drawn = sum(rows for rows, _ in shapes)
+            T = comp._read_payload(payload, comp._sc_read, d, alpha)[1]
+            assert T <= drawn < T + block
+            assert max(rows for rows, _ in shapes) <= block
+            shapes.clear()
+            assert np.array_equal(comp.sc_decompress(payload, d, alpha, 56, i),
+                                  out.reconstructed)
+            assert sum(rows for rows, _ in shapes) == T
+            w = message_stream(56, i).standard_normal((T, d))[-1]
+            assert np.array_equal(out.reconstructed, comp._sc_vector(
+                bitio.read_float_magnitude(BitCursor(payload)), alpha, w))
+
+    def test_encoder_draws_at_most_2_22_values(self, monkeypatch):
+        # (0.9, 4096): 1/P near 2.5e95, so the block is the largest, 1024 rows
+        d, alpha = 4096, 0.9
+        shapes = self.record_draws(monkeypatch)
+        x = message_stream(57, 0).standard_normal(d)
+        with pytest.raises(GiveUpError):
+            comp.sc_compress(x, alpha, 58, 0, trial_cap=1100)
+        assert shapes == [(1024, d), (76, d)]
 
     def test_payload_sandwich_high_dimension(self):
         # feasible d=50 setting: alpha=0.98 keeps 1/P small
@@ -311,6 +322,27 @@ class TestSphericalCompression:
             bits[i] = out.bits - 31
         lower = -math.log2(p)
         assert lower <= bits.mean() < lower + 3.0
+
+
+class TestScaleField:
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 2.0**-149, math.nextafter(2.0**-150, 1.0), 2.0**-126, 0.1,
+        3.4028234663852886e38,  # the largest binary32
+    ])
+    def test_reads_back_as_the_decoder_does(self, value):
+        field, back = comp._scale_field(value)
+        assert back == bitio.read_float_magnitude(BitCursor(field))
+        assert math.copysign(1.0, back) == 1.0
+
+    @pytest.mark.parametrize("value,message", [
+        (2.0**-150, "smallest subnormal"),  # the tie rounds to even, 0
+        (math.nextafter(2.0**-150, 0.0), "smallest subnormal"),
+        (3.4028235677973366e38, "overflows"),  # the largest binary32 + half an ulp
+        (2.0**128, "overflows"),
+    ])
+    def test_rejects_what_reads_back_wrong(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            comp._scale_field(value)
 
 
 class TestBaselines:
