@@ -170,6 +170,12 @@ class BitCursor:
         return (span[:-1] << s) | (span[1:] >> (8 - s))
 
 
+# Coordinates per block: the dense codecs and the unary block code walk
+# their input in blocks of this many values, or of bits, so that no
+# step makes a temporary the size of the whole input.
+BLOCK = 1 << 16
+
+
 def write_unary_block(values) -> BitString:
     """Concatenated unary codes for an array of values >= 1."""
     values = np.asarray(values, dtype=np.int64)
@@ -177,26 +183,55 @@ def write_unary_block(values) -> BitString:
         return BitString()
     if values.min() < 1:
         raise ValueError("unary code is defined for k >= 1")
-    total = int(values.sum())
-    arr = np.ones(total, dtype=np.uint8)
-    arr[np.cumsum(values) - 1] = 0
-    return BitString._wrap(np.packbits(arr), total)
+    chunks = []  # packed bits; each chunk's last byte is zero-padded
+    pos = 0  # bits written
+    for start in range(0, values.size, BLOCK):
+        # the block's bits from the start of the byte that holds bit pos,
+        # with ones in the place of the bits already written there
+        ends = np.cumsum(values[start:start + BLOCK])
+        ends += (pos & 7) - 1
+        arr = np.ones(int(ends[-1]) + 1, dtype=np.uint8)
+        arr[ends] = 0
+        packed = np.packbits(arr)
+        if pos & 7:  # the last chunk's padded byte becomes this one's first
+            packed[0] &= chunks[-1][-1] | (0xFF >> (pos & 7))
+            chunks[-1] = chunks[-1][:-1]
+        chunks.append(packed)
+        pos += arr.size - (pos & 7)
+    return BitString._wrap(np.concatenate(chunks) if len(chunks) > 1 else packed, pos)
 
 
 def read_unary_block(cursor: BitCursor, count):
-    """Read `count` consecutive unary codes as an int64 array."""
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.flatnonzero(cursor._rest() == 0)[:count]
-    if ends.size < count:
+    """Read `count` consecutive unary codes as an int64 array.
+
+    The bits are unpacked BLOCK at a time, up to the count-th terminator."""
+    if count > cursor.remaining():  # every code takes at least one bit
         raise TruncatedStreamError(
-            f"expected {count} unary codes at offset {cursor.pos}, found {ends.size}"
+            f"expected {count} unary codes at offset {cursor.pos}, "
+            f"{cursor.remaining()} bits left"
         )
-    cursor.pos += int(ends[-1]) + 1
-    # np.diff(ends, prepend=-1) without its concatenated copy of ends
-    values = ends.copy()
-    values[1:] -= ends[:-1]
-    values[0] += 1
+    values = np.empty(count, dtype=np.int64)
+    filled = 0
+    start = cursor.pos  # the first bit not yet unpacked
+    last = start - 1  # the last terminator read
+    while filled < count:
+        n = min(cursor._len - start, BLOCK)
+        if n <= 0:
+            raise TruncatedStreamError(
+                f"expected {count} unary codes at offset {cursor.pos}, found {filled}"
+            )
+        s = start & 7
+        bits = np.unpackbits(cursor._buf[start >> 3:(start + n + 7) >> 3], count=s + n)[s:]
+        ends = np.flatnonzero(bits == 0)[:count - filled]
+        if ends.size:
+            # each code's length: its terminator minus the one before
+            seg = values[filled:filled + ends.size]
+            seg[0] = start + int(ends[0]) - last
+            np.subtract(ends[1:], ends[:-1], out=seg[1:])
+            last = start + int(ends[-1])
+            filled += ends.size
+        start += n
+    cursor.pos = last + 1
     return values
 
 
@@ -313,10 +348,11 @@ def read_subset(cursor: BitCursor, d, n0):
 #     c_next      = c*num/den = q*num + r*num//den.
 # Both left-hand sides are integers, so both r*X//den are exact.  It
 # runs while c is wider than _DIRECT_BITS; narrower c goes to the
-# direct loop, which is faster there.  C(d, n0) < 2^d, so d <= 4096
-# always takes the direct loop.
+# direct loop, which is faster there (the crossover was measured with
+# scripts/direct_bits_grid.py; README, "Wire format").  C(d, n0) < 2^d,
+# so d <= 1024 always takes the direct loop.
 _GROUP_STEPS = 64
-_DIRECT_BITS = 4096
+_DIRECT_BITS = 1024
 # Unrank's fixed-point quotient R*2^_QUOTIENT_BITS/c has that many
 # fractional bits; a group ends once its steps' coefficient has shrunk
 # below 2^(_MARGIN_BITS - _QUOTIENT_BITS) of c (see _unrank).
@@ -468,13 +504,18 @@ def read_float_magnitude(cursor: BitCursor):
     return struct.unpack(">f", word.to_bytes(4, "big"))[0]
 
 
+# The least magnitude that rounds to binary32 inf: halfway between its
+# largest finite value 2^128 - 2^104 and 2^128.  Exact in float64.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+
+
 def write_float32_block(values) -> BitString:
     """Concatenated binary32 fields for a float array; every value must
     be finite after rounding to binary32."""
-    with np.errstate(over="ignore"):
-        raw = np.asarray(values, dtype=np.float64).astype(">f4")
-    if raw.size and not np.isfinite(raw).all():
+    values = np.asarray(values, dtype=np.float64)
+    if values.size and not np.abs(values).max() < _FLOAT32_OVERFLOW:  # NaN fails too
         raise ValueError("values must be finite in binary32")
+    raw = values.astype(">f4")
     return BitString._wrap(raw.reshape(-1).view(np.uint8), 32 * raw.size)
 
 

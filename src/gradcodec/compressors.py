@@ -90,9 +90,22 @@ def _direction(x):
 
 def _stochastic_levels(t, rng):
     """Round each t_i >= 0 to floor(t_i) or floor(t_i) + 1, up with
-    probability t_i - floor(t_i), so the expected level is t_i."""
+    probability t_i - floor(t_i), so the expected level is t_i.  The
+    levels are float64; t is overwritten."""
     base = np.floor(t)
-    return (base + (rng.random(t.size) < (t - base))).astype(np.int64)
+    t -= base
+    base += rng.random(t.size) < t
+    return base
+
+
+def _bit_field(bits):
+    """BitString of a 0/1 (or boolean) array that an encoder made."""
+    return BitString._wrap(np.packbits(bits), bits.size)
+
+
+def _blocks(d):
+    """Slices that cut a d-vector into blocks of bitio.BLOCK coordinates."""
+    return [slice(i, i + bitio.BLOCK) for i in range(0, d, bitio.BLOCK)]
 
 
 def _read_payload(bits: BitString, read, *args):
@@ -132,7 +145,7 @@ def _sd_compress(x, levels, negative, gamma):
         gamma_field,
         bitio.write_fixed(zeros.size, d.bit_length()),
         bitio.write_subset(zeros.tolist(), d, zeros.size),
-        BitString(sign_bits),
+        _bit_field(sign_bits),
         bitio.write_unary_block(levels[nz]),
     ])
     rec = _sd_vector(d, gamma, zeros, sign_bits, levels[nz])
@@ -199,7 +212,7 @@ def rsd_compress(x, nu, rng: np.random.Generator):
     check_param("nu", nu)
     norm, u = _direction(x)  # x = 0 rounds every level to 0
     h = math.sqrt(nu / d)
-    levels = _stochastic_levels(np.abs(u) / (2.0 * h), rng)
+    levels = _stochastic_levels(np.abs(u) / (2.0 * h), rng).astype(np.int64)
     return _sd_compress(x, levels, u < 0.0, 2.0 * h * norm)
 
 
@@ -361,12 +374,13 @@ def random_sparsify(x, k, rng: np.random.Generator):
     return _sparse_compress(x, sel, x[sel] * (d / k))
 
 
-def _dither_vector(norm, levels, sign_bits, s):
-    """norm * sign * level / s per coordinate; sign_bits holds one bit
-    (1 = negative) per nonzero level, so a zero level is +0.0."""
-    signs = np.ones(levels.size)
-    signs[levels > 0] = 1.0 - 2.0 * sign_bits
-    return norm * signs * levels / s
+def _dither_block(out, norm, levels, s, nonzero, sign_bits):
+    """Write norm * sign * level / s into `out`, from float64 levels and
+    one sign bit (1 = negative, uint8) per index in `nonzero`, the indices
+    of the nonzero levels; a zero level is +0.0."""
+    np.multiply(levels, norm, out=out)
+    out /= s
+    out[nonzero] *= sign_bits * -2.0 + 1.0
 
 
 def std_dither(x, s, rng: np.random.Generator):
@@ -377,33 +391,53 @@ def std_dither(x, s, rng: np.random.Generator):
     x = _as_vector(x)
     d = x.size
     check_param("levels", s)
-    norm, u = _direction(x)
+    norm = math.sqrt(float(np.dot(x, x)))
     norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
         return norm_field, _outcome(x, np.zeros(d), norm_field)
-    levels = _stochastic_levels(s * np.abs(u), rng)
-    sign_bits = (u[levels > 0] < 0.0).astype(np.uint8)
+    codes = np.empty(d, dtype=np.int64)  # level + 1, the unary code
+    rec = np.empty(d)
+    signs = []
+    for b in _blocks(d):
+        t = np.abs(x[b])
+        t /= norm  # |u_i| of the unit direction u
+        t *= s
+        levels = _stochastic_levels(t, rng)
+        codes[b] = levels
+        nonzero = np.flatnonzero(levels > 0.0)
+        # u_i has the sign of x_i where the level is nonzero
+        sign_bits = (x[b][nonzero] < 0.0).view(np.uint8)
+        signs.append(sign_bits)
+        _dither_block(rec[b], norm32, levels, s, nonzero, sign_bits)
+    codes += 1
     payload = BitString.concat([
         norm_field,
-        bitio.write_unary_block(levels + 1),
-        BitString(sign_bits),
+        bitio.write_unary_block(codes),
+        _bit_field(np.concatenate(signs)),
     ])
-    return payload, _outcome(x, _dither_vector(norm32, levels, sign_bits, s), payload)
+    del codes  # before the distortion's error vector
+    return payload, _outcome(x, rec, payload)
 
 
 def _dither_read(cursor, d, s):
+    """The reconstruction: the norm, d unary codes (level + 1), then one
+    sign bit per nonzero level."""
     norm = bitio.read_float_magnitude(cursor)
     if norm == 0.0:
-        return norm, np.zeros(d, dtype=np.int64), np.empty(0)
-    levels = bitio.read_unary_block(cursor, d) - 1
-    if levels.max(initial=0) > s:
+        return np.zeros(d)
+    codes = bitio.read_unary_block(cursor, d)
+    if codes.max(initial=0) > s + 1:
         raise bitio.MalformedCodeError(f"level above s={s}")
-    return norm, levels, cursor._take(int(np.count_nonzero(levels)))
+    rec = np.empty(d)
+    for b in _blocks(d):
+        levels = codes[b] - 1.0
+        nonzero = np.flatnonzero(levels > 0.0)
+        _dither_block(rec[b], norm, levels, s, nonzero, cursor._take(nonzero.size))
+    return rec
 
 
 def std_dither_decompress(bits: BitString, d, s):
-    norm, levels, sign_bits = _read_payload(bits, _dither_read, d, s)
-    return _dither_vector(norm, levels, sign_bits, s)
+    return _read_payload(bits, _dither_read, d, s)
 
 
 def ternary(x, rng: np.random.Generator):
@@ -411,9 +445,14 @@ def ternary(x, rng: np.random.Generator):
     return std_dither(x, 1, rng)
 
 
-def _natural_vector(sign_bits, efield):
-    """(-1)^sign 2^(efield - 127) per coordinate, 0 where the field is 0."""
-    return np.where(efield > 0, np.ldexp(1.0 - 2.0 * sign_bits, efield - 127), 0.0)
+# natural compression's 9-bit field sign << 8 | e stands for (-1)^sign
+# 2^(e - 127), and for 0 where e = 0: the values of all 512 fields
+_NATURAL_VALUES = np.array([math.ldexp(1.0 - 2.0 * sign, e - 127) if e else 0.0
+                            for sign in (0, 1) for e in range(256)])
+# eight 9-bit fields fill nine bytes: byte j ends with the high 8 - j bits
+# of field j, and byte j + 1 starts with the last j + 1 bits of field j
+_HIGH_SHIFT = np.arange(1, 9, dtype=np.uint16)
+_LOW_SHIFT = np.arange(7, -1, -1, dtype=np.uint16)
 
 
 def natural_compress(x, rng: np.random.Generator):
@@ -425,44 +464,60 @@ def natural_compress(x, rng: np.random.Generator):
     """
     x = _as_vector(x)
     d = x.size
-    ax = np.abs(x)
-    if ax.max() > 2.0 ** 127:
-        raise ValueError("natural compression needs |x_i| <= 2^127")
-    # |x_i| = m 2^ex, m in [1/2, 1): it rounds up from 2^(ex-1) to 2^ex
-    # with probability 2m - 1, which is exact (Sterbenz)
-    m, ex = np.frexp(ax)
-    u = rng.random(d)
-    efield = ex.astype(np.int16)
-    efield += 126
-    efield += u < 2.0 * m - 1.0
-    tiny = np.flatnonzero(ax < 2.0 ** -126)
-    efield[tiny] = u[tiny] < ax[tiny] * 2.0 ** 126
-    sign_bits = x < 0.0
-
-    # eight 9-bit fields fill nine bytes; byte j ends with the high bits
-    # of field j and byte j+1 starts with the last j+1 bits of field j
-    fields = np.zeros((-(-d // 8), 8), dtype=np.uint16)
-    fields.reshape(-1)[:d] = efield | sign_bits.astype(np.int16) << 8
-    packed = np.zeros((fields.shape[0], 9), dtype=np.uint8)
-    packed[:, :8] = fields >> np.arange(1, 9, dtype=np.uint16)
-    packed[:, 1:] |= fields << np.arange(7, -1, -1, dtype=np.uint16)
-    payload = BitString.from_bytes(packed.reshape(-1), 9 * d)
-    return payload, _outcome(x, _natural_vector(sign_bits, efield), payload)
+    packed = np.empty(9 * -(-d // 8), dtype=np.uint8)
+    rec = np.empty(d)
+    for b in _blocks(d):
+        ax = np.abs(x[b])
+        if ax.max() > 2.0 ** 127:
+            raise ValueError("natural compression needs |x_i| <= 2^127")
+        # |x_i| = m 2^ex, m in [1/2, 1): it rounds up from 2^(ex-1) to 2^ex
+        # with probability 2m - 1, which is exact (Sterbenz)
+        m, ex = np.frexp(ax)
+        u = rng.random(ax.size)
+        fields = np.zeros(-(-ax.size // 8) * 8, dtype=np.uint16)
+        efield = fields[:ax.size].view(np.int16)
+        efield[:] = ex
+        efield += 126
+        m *= 2.0
+        m -= 1.0
+        efield += u < m
+        tiny = np.flatnonzero(ax < 2.0 ** -126)
+        efield[tiny] = u[tiny] < ax[tiny] * 2.0 ** 126
+        efield |= np.left_shift(x[b] < 0.0, 8, dtype=np.int16)
+        groups = fields.reshape(-1, 8)
+        out = packed.reshape(-1, 9)[b.start // 8:][:len(groups)]
+        out[:, :8] = groups >> _HIGH_SHIFT
+        out[:, 8] = 0
+        out[:, 1:] |= groups << _LOW_SHIFT
+        _NATURAL_VALUES.take(fields[:ax.size].astype(np.intp), out=rec[b])
+    payload = BitString.from_bytes(packed, 9 * d)
+    return payload, _outcome(x, rec, payload)
 
 
 def natural_decompress(bits: BitString, d):
-    chunk = _read_payload(bits, BitCursor._take, 9 * d).reshape(d, 9)
-    efield = np.packbits(chunk[:, 1:], axis=1).reshape(d).astype(np.int16)
-    if efield.max(initial=0) == 255:
-        raise bitio.MalformedCodeError("exponent field 255 (2^128), above binary32's range")
-    return _natural_vector(chunk[:, 0], efield)
+    _read_payload(bits, BitCursor._advance, 9 * d)
+    rec = np.empty(d)
+    for b in _blocks(d):
+        n = rec[b].size
+        raw = bits._buf[b.start // 8 * 9:][:-(-n // 8) * 9]
+        if raw.size % 9:  # the last group's bytes past the payload are zero
+            raw = np.concatenate([raw, np.zeros(9 - raw.size % 9, dtype=np.uint8)])
+        # field j of a group is the big-endian pair of its bytes j and j + 1,
+        # shifted right by 7 - j, and its low 9 bits
+        pairs = np.ndarray((raw.size // 9, 8), dtype=">u2", buffer=raw, strides=(9, 1))
+        fields = (pairs >> _LOW_SHIFT).reshape(-1)[:n]
+        fields &= 0x1FF
+        if (fields & 0xFF).max() == 255:
+            raise bitio.MalformedCodeError("exponent field 255 (2^128), above binary32's range")
+        _NATURAL_VALUES.take(fields.astype(np.intp), out=rec[b])
+    return rec
 
 
 def identity_compress(x):
     """Uncompressed baseline: d binary32 values, 32 d bits."""
     x = _as_vector(x)
     payload = bitio.write_float32_block(x)
-    return payload, _outcome(x, x.astype(np.float32).astype(np.float64), payload)
+    return payload, _outcome(x, payload._buf.view(">f4").astype(np.float64), payload)
 
 
 def identity_decompress(bits: BitString, d):

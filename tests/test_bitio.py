@@ -167,6 +167,47 @@ class TestUnary:
         with pytest.raises(TruncatedStreamError):
             bitio.read_unary_block(BitCursor(BitString([1] * 10)), 1)
 
+    @pytest.mark.parametrize("lead", [0, 3])
+    def test_multi_block_round_trip(self, lead):
+        # codes over several bitio.BLOCK-value blocks, starting mid-byte
+        gen = np.random.default_rng(lead)
+        values = gen.geometric(0.4, size=2 * bitio.BLOCK + 5)
+        values[bitio.BLOCK - 2:bitio.BLOCK + 2] = [1, 9, 1, 17]
+        ref = np.ones(int(values.sum()), dtype=np.uint8)
+        ref[np.cumsum(values) - 1] = 0
+        bs = bitio.write_unary_block(values)
+        assert bs == BitString(ref)
+        cur = BitCursor(BitString([1] * lead) + bs + BitString([1, 0]))
+        cur.pos = lead
+        assert np.array_equal(bitio.read_unary_block(cur, values.size), values)
+        assert cur.remaining() == 2
+
+    def test_read_stops_at_the_last_code(self):
+        # 2^24 one bits after three codes: the reader unpacks no more than
+        # one block of them
+        cur = BitCursor(bitio.write_unary_block([2, 1, 3])
+                        + BitString.from_bytes(b"\xff" * 2**21, 2**24))
+        tracemalloc.start()
+        try:
+            values = bitio.read_unary_block(cur, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.tolist() == [2, 1, 3]
+        assert cur.pos == 6
+        assert peak < 2**20
+
+    def test_count_above_bits_left_rejected_without_allocation(self):
+        # a count from a forged header: its int64 output would be 1 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedStreamError):
+                bitio.read_unary_block(BitCursor(BitString([0] * 5)), 2**27)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=30))
     def test_block_round_trip(self, values):
         bs = bitio.write_unary_block(values)
@@ -438,6 +479,23 @@ class TestFloatMagnitude:
         # all exponent bits set: inf or NaN, which no encoder writes
         with pytest.raises(MalformedCodeError):
             bitio.read_float_magnitude(BitCursor(BitString.from_int(word, 31)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_block_overflow_edge(self, sign):
+        # binary32 rounds to inf from 2^128 - 2^104 + 2^103 up; just below,
+        # to its largest finite value 2^128 - 2^104
+        edge = 2.0**128 - 2.0**103
+        with pytest.raises(ValueError, match="finite in binary32"):
+            bitio.write_float32_block([1.0, sign * edge])
+        below = np.nextafter(edge, 0.0)
+        cur = BitCursor(bitio.write_float32_block([1.0, sign * below]))
+        got = bitio.read_float32_block(cur, 2)
+        assert got.tolist() == [1.0, sign * float(np.finfo(np.float32).max)]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_block_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite in binary32"):
+            bitio.write_float32_block([1.0, bad])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_block_value_is_malformed(self, bad):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -510,6 +511,31 @@ class TestBaselines:
         assert np.array_equal(comp.identity_decompress(payload, 3),
                               out.reconstructed)
         assert out.reconstructed == pytest.approx(x, rel=1e-6)
+
+
+def traced_peak(step):
+    """(step(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        return step(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["dither", "ternary", "natural", "identity"])
+def test_dense_codecs_make_no_vector_sized_temporaries(kind):
+    # at d = 2^20, 16 blocks, the encoder holds its reconstruction, the
+    # distortion's error vector, the levels and the payload; the decoder
+    # its reconstruction and the levels
+    d = 1 << 20
+    config = OperatorConfig("dither", levels=1024, seed=4) if kind == "dither" else CONFIGS[kind]
+    gen = message_stream(24, 0)
+    x = gen.standard_normal(d) * np.exp(gen.standard_normal(d))
+    op = make_operator(config)
+    (payload, _), encode_peak = traced_peak(lambda: op.compress_at(x, 0))
+    _, decode_peak = traced_peak(lambda: op.decompress(payload, d, 0))
+    assert encode_peak <= 3.5 * 8 * d
+    assert decode_peak <= 2.5 * 8 * d
 
 
 class TestContractWrap:

@@ -13,7 +13,7 @@ import numpy as np
 
 from gradcodec import bitio
 from gradcodec.cli import main
-from gradcodec.compressors import CODECS, make_operator
+from gradcodec.compressors import CODECS, OperatorConfig, make_operator
 from gradcodec.rng import message_stream
 from gradcodec.selftest import roundtrip_configs
 
@@ -80,6 +80,30 @@ WIRE_DIGESTS = {
         "f2618ce01bf4a32366e2c5b02e4b03fd22ba3915eb88e79d992aac951ac38e1a",
 }
 
+# The dense codecs walk the vector in blocks of compressors.BLOCK = 2^16
+# coordinates; these rows span several blocks and end mid-byte.
+MULTI_BLOCK_D = 2 * 2**16 + 3
+MULTI_BLOCK_CONFIGS = {
+    "dither-s7": OperatorConfig("dither", levels=7, seed=21),
+    "dither-s1000": OperatorConfig("dither", levels=1000, seed=22),
+    "ternary": OperatorConfig("ternary", seed=23),
+    "natural": OperatorConfig("natural", seed=24),
+    "identity": OperatorConfig("identity"),
+}
+# values placed on and around the block edges of every multi-block input
+EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 2.0**-130, -(2.0**-130), 5e-324, -5e-324,
+               2.0**-126, 1e-20, -1e-20)
+
+# sha256 over (container bytes, encoder and decoder output bytes, repr of
+# the distortion) of every multi-block message, per row
+MULTI_BLOCK_DIGESTS = {
+    "dither-s1000": "4edfe0200309115133679843ef245b1ee0b1ab4ea18079769f2fce349efef869",
+    "dither-s7": "2fa84ccff303ed84da6006ce03bbeb9cc22b1383d1d9f43fc4fabc1c9609a858",
+    "identity": "b4070d706bf1c815423586dac78ae117ff374ef2663da381773553882e1b4182",
+    "natural": "f160b6d2e75c58d4feb1e6a80204b0dba020b71af6a9d796a193243beca8b51b",
+    "ternary": "14d5b5cec2b4e02e6d0ea76549d0b771cdc540289b3b1bc157c3c2c20af54971",
+}
+
 # sha256 of each default `bench` trace CSV, without its `# version=` line
 TRACE_DIGESTS = {
     "logistic/trace_basic.csv":
@@ -130,6 +154,37 @@ def wire_digests():
     return out
 
 
+def multi_block_inputs(d):
+    """A heavy-tailed vector with EDGE_VALUES spread over it and on the
+    block edges, then the same vector with its first block zeroed."""
+    gen = message_stream(5, 8000)
+    x = gen.standard_normal(d) * np.exp(2.0 * gen.standard_normal(d))
+    spots = np.concatenate([[0, 1, 2**16 - 1, 2**16, 2**17 - 1, 2**17, d - 1],
+                            gen.choice(d, size=2000, replace=False)])
+    x[spots] = np.resize(EDGE_VALUES, spots.size)
+    y = x.copy()
+    y[:2**16] = 0.0
+    return x, y
+
+
+def multi_block_digests():
+    d = MULTI_BLOCK_D
+    out = {}
+    for name, config in MULTI_BLOCK_CONFIGS.items():
+        h = hashlib.sha256()
+        op = make_operator(config)
+        for i, x in enumerate(multi_block_inputs(d)):
+            payload, enc = op.compress_at(x, i)
+            blob = bitio.pack_container(op.tag, d, payload)
+            tag, dd, got = bitio.unpack_container(blob)
+            rec = op.decompress(got, dd, message_index=i)
+            for part in (blob, enc.reconstructed.tobytes(), rec.tobytes(),
+                         repr(enc.distortion).encode()):
+                h.update(part)
+        out[name] = h.hexdigest()
+    return out
+
+
 def trace_digests(outdir):
     out = {}
     for spec in BENCH_DATASETS:
@@ -155,6 +210,10 @@ def test_wire_digests():
     assert wire_digests() == WIRE_DIGESTS
 
 
+def test_multi_block_digests():
+    assert multi_block_digests() == MULTI_BLOCK_DIGESTS
+
+
 def test_trace_digests(tmp_path, capsys):
     assert trace_digests(tmp_path) == TRACE_DIGESTS
 
@@ -165,5 +224,6 @@ if __name__ == "__main__":
     import tempfile
 
     pprint.pprint(wire_digests(), width=100)
+    pprint.pprint(multi_block_digests(), width=100)
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint(trace_digests(pathlib.Path(tmp)), width=100)
