@@ -32,7 +32,7 @@ def cell_ms(positions, d, n0, number, rounds=7):
     """Rank + unrank time in ms at each threshold, the best of `rounds`
     rounds that each time every threshold in turn; checks the round trip
     and that the rank is subset_rank's."""
-    total = math.comb(d, n0)
+    total = bitio.binom(d, n0)
     rank = bitio.subset_rank(positions, d, n0)
     for t in THRESHOLDS:
         if round_trip(positions, d, n0, total, t) != (rank, positions):

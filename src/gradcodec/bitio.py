@@ -285,9 +285,80 @@ def golomb_rice_decode(cursor: BitCursor, m):
     return value
 
 
+# C(n, k) by prime factorisation where its width, estimated from
+# lgamma, is at least _FACTOR_MIN_BITS and n/_FACTOR_N_PER_BIT bits, and
+# by math.comb below.  math.comb divides big integers, which CPython
+# does in quadratic time; the factorised path sieves n numbers and only
+# multiplies, so it wins once the result is wide against n.  Both are
+# exact; the rule picks only the time (the grid is measured with
+# scripts/binom_grid.py; README, "Wire format").  Tying the sieve to
+# the width makes a decoder sieve d numbers only for a subset field of
+# at least d/_FACTOR_N_PER_BIT bits, and read_subset rejects a payload
+# shorter than a lower bound on that width before computing C(d, n0).
+_FACTOR_MIN_BITS = 4000
+_FACTOR_N_PER_BIT = 10
+
+
+def binom(n, k):
+    """C(n, k) for n, k >= 0 (0 when k > n), as math.comb returns it."""
+    # C(n, k) < 2^n, so n below _FACTOR_MIN_BITS needs no lgamma test
+    if _FACTOR_MIN_BITS <= n and 0 <= k <= n and _factored_pays(n, k):
+        return _factored_binom(n, k)
+    return math.comb(n, k)
+
+
+def _factored_pays(n, k):
+    """Whether binom(n, k), 0 <= k <= n, takes the factorised path."""
+    bits = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(2)
+    return bits >= max(_FACTOR_MIN_BITS, n / _FACTOR_N_PER_BIT)
+
+
+def _primes(n):
+    """The primes up to n >= 2, ascending, from a sieve over odd numbers."""
+    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(n) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
+
+
+def _factored_binom(n, k):
+    """C(n, k) for 0 <= k <= n as the product of its prime powers.
+
+    Legendre: prime p divides C(n, k) sum_j (n//p^j - k//p^j - (n-k)//p^j)
+    times.  Each pass adds one power j for every prime with p^j <= n, a
+    prefix of the ascending primes; past sqrt(n) only j = 1 exists, so
+    there the exponent is 0 or 1."""
+    if n < 2:
+        return 1
+    primes = _primes(n)
+    exps = np.zeros(primes.size, dtype=np.int64)
+    power = primes
+    while power.size:
+        exps[:power.size] += n // power - k // power - (n - k) // power
+        power = power[power <= n // primes[:power.size]]
+        power = power * primes[:power.size]
+    once = primes[exps == 1].tolist()
+    more = [p**e for p, e in zip(primes[exps > 1].tolist(), exps[exps > 1].tolist())]
+    return _product(more + once)
+
+
+def _product(factors):
+    """Product of a list of ints by a balanced tree of multiplications:
+    a left-to-right product multiplies a wide integer by a narrow one at
+    every step, which is quadratic in the result's width."""
+    while len(factors) > 1:
+        if len(factors) & 1:
+            factors.append(1)
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])]
+    return factors[0] if factors else 1
+
+
 def subset_code_width(d, n0):
     """Bits needed for a subset rank: ceil(log2 C(d, n0))."""
-    return (math.comb(d, n0) - 1).bit_length()
+    return (binom(d, n0) - 1).bit_length()
 
 
 def subset_rank(positions, d, n0):
@@ -296,12 +367,12 @@ def subset_rank(positions, d, n0):
     Combinatorial number system: subsets are ordered as sorted index
     tuples; {0,..,n0-1} has rank 0.
     """
-    return _rank(positions, d, n0, math.comb(d, n0))
+    return _rank(positions, d, n0, binom(d, n0))
 
 
 def subset_unrank(rank, d, n0):
     """Inverse of subset_rank; returns the sorted position list."""
-    total = math.comb(d, n0)
+    total = binom(d, n0)
     if rank < 0 or rank >= total:
         raise ValueError(f"rank {rank} out of range for C({d},{n0})")
     return _unrank(rank, d, n0, total)
@@ -309,7 +380,7 @@ def subset_unrank(rank, d, n0):
 
 def write_subset(positions, d, n0) -> BitString:
     """Subset rank as a fixed field of ceil(log2 C(d, n0)) bits."""
-    total = math.comb(d, n0)
+    total = binom(d, n0)
     return write_fixed(_rank(positions, d, n0, total), (total - 1).bit_length())
 
 
@@ -326,7 +397,7 @@ def read_subset(cursor: BitCursor, d, n0):
             f"subset rank over C({d},{n0}) needs more than the "
             f"{cursor.remaining()} bits left at offset {cursor.pos}"
         )
-    total = math.comb(d, n0)
+    total = binom(d, n0)
     rank = cursor.read_bits((total - 1).bit_length())
     if rank >= total:
         raise MalformedCodeError(f"subset rank {rank} out of range for C({d},{n0})")

@@ -6,6 +6,7 @@ arithmetic.  All logarithms are base 2.
 import math
 from dataclasses import dataclass
 
+from .bitio import binom
 from .geometry import CapParams, log2_cap_probability
 
 FLOAT_BITS_PER_COORD = 32
@@ -150,7 +151,7 @@ def savings_table(d):
 
     add("none (32-bit floats)", 32.0 * d, 0.0)
     k = max(1, d // 10)
-    add("random sparsification (k=d/10)", 32.0 * k + math.log2(math.comb(d, k)), d / k - 1.0)
+    add("random sparsification (k=d/10)", 32.0 * k + math.log2(binom(d, k)), d / k - 1.0)
     add("ternary quantization", log2_3 * d, math.sqrt(d))
     add("standard dithering (s=sqrt(d))", 2.8 * d, 1.0)
     add("natural compression", 9.0 * d, 0.125)

@@ -346,6 +346,79 @@ class TestSubsetCode:
             bitio.subset_unrank(6, 4, 2)
 
 
+class TestBinom:
+    """bitio.binom and its factorised path against math.comb."""
+
+    def test_every_k_small_n(self):
+        for n in range(201):
+            for k in range(n + 3):
+                assert bitio.binom(n, k) == math.comb(n, k)
+                if k <= n:
+                    assert bitio._factored_binom(n, k) == math.comb(n, k)
+
+    @pytest.mark.parametrize("n,k,factored", [
+        (4096, 1024, False), (4096, 2048, True),
+        (10**4, 256, False), (10**4, 2048, True),
+        (10**5, 1024, False), (10**5, 2048, True), (10**5, 61_343, True),
+        (10**5, 98_976, False), (10**5, 99_999, False),
+    ])
+    def test_both_sides_of_the_crossover(self, n, k, factored):
+        assert bitio._factored_pays(n, k) == factored
+        assert bitio.binom(n, k) == math.comb(n, k)
+        assert bitio._factored_binom(n, k) == math.comb(n, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 25, 27, 128, 243, 997, 1024, 2187,
+                                   4093, 4096, 16_807, 65_536, 65_537])
+    def test_prime_and_prime_power_n(self, n):
+        for k in {min(j, n) for j in (1, 2, 3, n // 7, n // 3, n // 2, n - 1, n)}:
+            assert bitio._factored_binom(n, k) == math.comb(n, k)
+
+    def test_random_n(self):
+        rng = np.random.default_rng(14)
+        for _ in range(6):
+            n = int(rng.integers(2, 2 * 10**5 + 1))
+            k = int(rng.integers(0, n + 1))
+            expected = math.comb(n, k)
+            assert bitio.binom(n, k) == expected
+            assert bitio._factored_binom(n, k) == expected
+
+    def test_identities_at_a_million(self):
+        # math.comb takes seconds here; absorption and Pascal's rule
+        # check the factorised values against each other instead
+        n, k = 10**6, 4 * 10**5
+        assert bitio._factored_pays(n, k) and bitio._factored_pays(n - 1, k - 1)
+        c, left, right = bitio.binom(n, k), bitio.binom(n - 1, k - 1), bitio.binom(n - 1, k)
+        assert c * k == left * n
+        assert c == left + right
+
+    def test_factored_peak_below_decoder_output(self):
+        n = 1 << 20
+        assert bitio._factored_pays(n, n // 2)
+        tracemalloc.start()
+        try:
+            bitio.binom(n, n // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n  # the float64 vector a decoder at d = n allocates
+
+    def test_hostile_field_stays_on_math_comb(self):
+        # a 4.5 KB container at MAX_D: width far below d/_FACTOR_N_PER_BIT,
+        # so the decoder computes C(d, n0) without sieving d numbers
+        d, n0 = bitio.MAX_D, 2048
+        assert not bitio._factored_pays(d, n0)
+        field = bitio.write_fixed(0, bitio.subset_code_width(d, n0))
+        assert len(field) < 36_000
+        tracemalloc.start()
+        try:
+            positions = bitio.read_subset(BitCursor(field), d, n0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert positions == list(range(n0))
+        assert peak < 2 << 20
+
+
 def _direct_rank(positions, d, n0):
     return bitio._rank(positions, d, n0, math.comb(d, n0), direct_bits=math.inf)
 

@@ -1,7 +1,9 @@
-"""The paper scripts' command lines parse under the current CLI.
+"""The paper scripts' command lines parse under the current CLI, and
+the binomial grid script runs.
 
-Each script is loaded by path with its `main` replaced by a recorder,
-so the check takes milliseconds instead of a full benchmark run.
+Each paper script is loaded by path with its `main` replaced by a
+recorder, so the check takes milliseconds instead of a full benchmark
+run; the grid script times one small cell.
 """
 
 import importlib.util
@@ -14,10 +16,15 @@ from gradcodec import cli
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def recorded_argvs(name, *args):
+def load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def recorded_argvs(name, *args):
+    module = load(name)
     argvs = []
     module.main = lambda argv: argvs.append(argv) or 0
     assert module.run(*args) == 0
@@ -35,3 +42,11 @@ def test_script_command_lines_parse(name, args, runs):
     for argv in argvs:
         parsed = cli.build_parser().parse_args(argv)
         assert parsed.func is getattr(cli, f"cmd_{argv[0]}")
+
+
+def test_binom_grid_cell(capsys):
+    assert load("binom_grid").main([(300, 150)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3
+    assert rows[2].startswith("| 300 | 150 | 296 | 0.987 | ")
+    assert rows[2].endswith(" | math.comb |")
