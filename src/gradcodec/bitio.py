@@ -34,11 +34,13 @@ class BitString:
     __slots__ = ("_buf", "_len")
 
     def __init__(self, bits=()):
-        arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
-        if arr.size and arr.max(initial=0) > 1:
-            raise ValueError("bits must be 0 or 1")
-        self._buf = np.packbits(arr)
-        self._len = int(arr.size)
+        """The bits of a 0/1 sequence; a boolean array needs no 0/1 check."""
+        if getattr(bits, "dtype", None) != bool:
+            bits = np.asarray(bits, dtype=np.uint8)
+            if bits.max(initial=0) > 1:
+                raise ValueError("bits must be 0 or 1")
+        self._buf = np.packbits(bits, axis=None)
+        self._len = int(bits.size)
 
     @classmethod
     def _wrap(cls, buf, length):
@@ -48,19 +50,6 @@ class BitString:
         bs._buf = buf
         bs._len = length
         return bs
-
-    @classmethod
-    def from_int(cls, value, width):
-        """Value as exactly `width` bits, most-significant first."""
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        if value < 0:
-            raise ValueError("value must be >= 0")
-        if value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        nbytes = (width + 7) >> 3
-        raw = (value << (8 * nbytes - width)).to_bytes(nbytes, "big")
-        return cls._wrap(np.frombuffer(raw, dtype=np.uint8), width)
 
     @classmethod
     def from_bytes(cls, data, length):
@@ -85,7 +74,7 @@ class BitString:
         for p in parts:
             acc = (acc << p._len) | p._int()
             total += p._len
-        return BitString.from_int(acc, total)
+        return write_fixed(acc, total)
 
     def to_bytes(self):
         """Pack to bytes, zero-padded at the end to a byte boundary."""
@@ -143,11 +132,6 @@ class BitCursor:
         start = self._advance(n)
         s = start & 7
         return np.unpackbits(self._buf[start >> 3:(start + n + 7) >> 3], count=s + n)[s:]
-
-    def _rest(self):
-        """Every bit not yet read, unpacked, without consuming any."""
-        s = self.pos & 7
-        return np.unpackbits(self._buf[self.pos >> 3:], count=s + self.remaining())[s:]
 
     def read_bits(self, width):
         """Read a `width`-bit MSB-first unsigned integer."""
@@ -236,8 +220,16 @@ def read_unary_block(cursor: BitCursor, count):
 
 
 def write_fixed(value, width) -> BitString:
-    """Fixed-width unsigned integer, MSB first."""
-    return BitString.from_int(value, width)
+    """Unsigned `value` as exactly `width` bits, most-significant first."""
+    if width < 0:
+        raise ValueError("width must be >= 0")
+    if value < 0:
+        raise ValueError("value must be >= 0")
+    if value >> width:
+        raise ValueError(f"value {value} does not fit in {width} bits")
+    nbytes = (width + 7) >> 3
+    raw = (value << (8 * nbytes - width)).to_bytes(nbytes, "big")
+    return BitString._wrap(np.frombuffer(raw, dtype=np.uint8), width)
 
 
 def golomb_rice_params(p):
@@ -263,19 +255,32 @@ def golomb_rice_encode(value, m) -> BitString:
         raise ValueError("m must be >= 0")
     q = value >> m
     r = value & ((1 << m) - 1)
-    return BitString.from_int((1 << m) | r, q + 1 + m)
+    return write_fixed((1 << m) | r, q + 1 + m)
 
 
 def golomb_rice_decode(cursor: BitCursor, m):
+    """Inverse of golomb_rice_encode.  The quotient's terminating one is
+    looked for in the packed bytes from the cursor on, BLOCK bytes at a
+    time; the bits past the end are zero padding, so none is found there."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    rest = cursor._rest()
-    if not rest.any():
+    buf = cursor._buf
+    # b, byte: the first nonzero byte from the cursor on, bits before it cleared
+    b = cursor.pos >> 3
+    byte = int(buf[b]) & (0xFF >> (cursor.pos & 7)) if b < buf.size else 0
+    start = b + 1
+    while not byte and start < buf.size:
+        nonzero = buf[start:start + BLOCK] != 0
+        b = start + int(nonzero.argmax())
+        byte = int(buf[b])
+        start += BLOCK
+    if not byte:
         raise TruncatedStreamError(
             f"Golomb-Rice quotient not terminated (offset {cursor.pos})"
         )
-    q = int(rest.argmax())
-    cursor.pos += q + 1
+    one = 8 * b + 8 - byte.bit_length()
+    q = one - cursor.pos
+    cursor.pos = one + 1
     r = cursor.read_bits(m)
     value = (q << m) | r
     if value < 1:
@@ -385,12 +390,14 @@ def write_subset(positions, d, n0) -> BitString:
 
 
 def read_subset(cursor: BitCursor, d, n0):
-    """Read a write_subset field; MalformedCodeError if the rank is
-    C(d, n0) or more, which the field's width can hold.
+    """Read a write_subset field; MalformedCodeError where n0 > d, or
+    where the rank is C(d, n0) or more, which the field's width can hold.
 
     C(d, k) >= (d/k)^k with k = min(n0, d - n0) bounds the width from
     below, so a payload too short for the field is rejected before the
     cost of computing C(d, n0)."""
+    if n0 > d:
+        raise MalformedCodeError(f"subset size {n0} exceeds dimension {d}")
     k = min(n0, d - n0)
     if k and cursor.remaining() < math.floor(k * math.log2(d / k)) - 1:
         raise TruncatedStreamError(
@@ -565,7 +572,7 @@ def write_float_magnitude(value) -> BitString:
     except OverflowError as exc:
         raise ValueError(f"magnitude {value} overflows binary32") from exc
     word = int.from_bytes(raw, "big")
-    return BitString.from_int(word & 0x7FFFFFFF, 31)
+    return write_fixed(word & 0x7FFFFFFF, 31)
 
 
 def read_float_magnitude(cursor: BitCursor):
@@ -591,7 +598,10 @@ def write_float32_block(values) -> BitString:
 
 
 def read_float32_block(cursor: BitCursor, count):
-    values = cursor.read_bytes(4 * count).view(">f4").astype(np.float64)
+    """MalformedCodeError on a word with all exponent bits set: inf or
+    NaN, which no encoder writes."""
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns in the cast
+        values = cursor.read_bytes(4 * count).view(">f4").astype(np.float64)
     if not math.isfinite(values.sum()):  # no sum of finite binary32 values overflows
         raise MalformedCodeError("non-finite binary32 value")
     return values

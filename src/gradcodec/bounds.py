@@ -4,7 +4,6 @@ arithmetic.  All logarithms are base 2.
 """
 
 import math
-from dataclasses import dataclass
 
 from .bitio import binom
 from .geometry import CapParams, log2_cap_probability
@@ -97,42 +96,6 @@ def covering_bound_rhs(d):
     if d < 3:
         raise ValueError(f"dimension must be >= 3, got {d}")
     return (1600.0 * d * d * math.log2(d)) ** (2.0 / d)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Closed-form bound values for one (variance, dimension) cell."""
-
-    alpha: float
-    d: int
-    up_lower: float
-    avg_lower: float
-    bstar: float
-    bstar_band: float
-    predicted_dsd_bits: float
-    predicted_rsd_bits: float
-    savings: float
-
-
-def bound_report(alpha, d):
-    """Evaluate every closed-form bound at one (alpha, d) point.
-
-    The predicted codec bits and savings use the operator parameter
-    nu = omega = alpha, matching how the sweep harness labels the axes.
-    """
-    bstar, band = bstar_estimate(alpha, d)
-    rsd_bits = rsd_predicted_bits(alpha, d)
-    return BoundReport(
-        alpha=alpha,
-        d=d,
-        up_lower=up_lower_bound(alpha, d),
-        avg_lower=avg_lower_bound(alpha, d),
-        bstar=bstar,
-        bstar_band=band,
-        predicted_dsd_bits=dsd_predicted_bits(alpha, d),
-        predicted_rsd_bits=rsd_bits,
-        savings=savings_factor(alpha, rsd_bits, d),
-    )
 
 
 def savings_table(d):

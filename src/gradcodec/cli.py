@@ -157,13 +157,16 @@ def cmd_bounds(args):
     lines = [f"# gradcodec {__version__} bounds table", header]
     for d in ds:
         for alpha in alphas:
+            # the predicted codec bits and savings take nu = omega = alpha,
+            # as the sweep harness labels its axes
             try:
-                r = bounds.bound_report(alpha, d)
+                bstar, band = bounds.bstar_estimate(alpha, d)
+                rsd_bits = bounds.rsd_predicted_bits(alpha, d)
                 row = [
-                    f"{alpha:g}", f"{d}", f"{r.up_lower:.2f}", f"{r.avg_lower:.2f}",
-                    f"{r.bstar:.2f}", f"{r.bstar_band:.2f}",
-                    f"{r.predicted_dsd_bits:.1f}", f"{r.predicted_rsd_bits:.1f}",
-                    f"{r.savings:.2f}",
+                    f"{alpha:g}", f"{d}", f"{bounds.up_lower_bound(alpha, d):.2f}",
+                    f"{bounds.avg_lower_bound(alpha, d):.2f}", f"{bstar:.2f}", f"{band:.2f}",
+                    f"{bounds.dsd_predicted_bits(alpha, d):.1f}", f"{rsd_bits:.1f}",
+                    f"{bounds.savings_factor(alpha, rsd_bits, d):.2f}",
                 ]
             except ValueError as exc:
                 row = [f"{alpha:g}", f"{d}", f"error: {exc}"]

@@ -98,11 +98,6 @@ def _stochastic_levels(t, rng):
     return base
 
 
-def _bit_field(bits):
-    """BitString of a 0/1 (or boolean) array that an encoder made."""
-    return BitString._wrap(np.packbits(bits), bits.size)
-
-
 def _blocks(d):
     """Slices that cut a d-vector into blocks of bitio.BLOCK coordinates."""
     return [slice(i, i + bitio.BLOCK) for i in range(0, d, bitio.BLOCK)]
@@ -123,7 +118,7 @@ def _read_payload(bits: BitString, read, *args):
 
 def _sd_vector(d, gamma, zero_positions, sign_bits, levels):
     """gamma * sign * level at each coordinate outside zero_positions, in
-    ascending order; sign_bits holds one bit (1 = negative) per level."""
+    ascending order; sign_bits holds one bit (1 or True = negative) per level."""
     rec = np.zeros(d)
     mask = np.ones(d, dtype=bool)
     mask[zero_positions] = False
@@ -140,12 +135,12 @@ def _sd_compress(x, levels, negative, gamma):
     nz = levels > 0
     gamma_field, gamma = _scale_field(gamma if nz.any() else 0.0)
     zeros = np.flatnonzero(~nz)
-    sign_bits = negative[nz].astype(np.uint8)
+    sign_bits = negative[nz]
     payload = BitString.concat([
         gamma_field,
         bitio.write_fixed(zeros.size, d.bit_length()),
         bitio.write_subset(zeros.tolist(), d, zeros.size),
-        _bit_field(sign_bits),
+        BitString(sign_bits),
         bitio.write_unary_block(levels[nz]),
     ])
     rec = _sd_vector(d, gamma, zeros, sign_bits, levels[nz])
@@ -156,8 +151,6 @@ def _sd_read(cursor, d):
     """(gamma, zero positions, sign bits, levels) of the sparse-dithering layout."""
     gamma = bitio.read_float_magnitude(cursor)
     n0 = cursor.read_bits(d.bit_length())
-    if n0 > d:
-        raise bitio.MalformedCodeError(f"zero count {n0} exceeds dimension {d}")
     zeros = bitio.read_subset(cursor, d, n0)
     sign_bits = cursor._take(d - n0)
     return gamma, zeros, sign_bits, bitio.read_unary_block(cursor, d - n0)
@@ -301,11 +294,14 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
 
 
 def _sc_read(cursor, d, alpha):
-    """(norm, T); T = 0 for the zero message.  MalformedCodeError where
-    T exceeds the trial cap, which no encoder reaches."""
+    """(norm, T); T = 0 for the zero message.  MalformedCodeError on what
+    no encoder writes: a nonzero norm at d < 2, where sc_compress takes
+    only x = 0, or T above the trial cap."""
     norm = bitio.read_float_magnitude(cursor)
     if norm == 0.0:
         return norm, 0
+    if d < 2:
+        raise bitio.MalformedCodeError(f"nonzero SC norm at d={d}")
     m, cap, _ = sc_code(alpha, d)
     T = bitio.golomb_rice_decode(cursor, m)
     if T > cap:
@@ -376,7 +372,7 @@ def random_sparsify(x, k, rng: np.random.Generator):
 
 def _dither_block(out, norm, levels, s, nonzero, sign_bits):
     """Write norm * sign * level / s into `out`, from float64 levels and
-    one sign bit (1 = negative, uint8) per index in `nonzero`, the indices
+    one sign bit (1 or True = negative) per index in `nonzero`, the indices
     of the nonzero levels; a zero level is +0.0."""
     np.multiply(levels, norm, out=out)
     out /= s
@@ -406,14 +402,14 @@ def std_dither(x, s, rng: np.random.Generator):
         codes[b] = levels
         nonzero = np.flatnonzero(levels > 0.0)
         # u_i has the sign of x_i where the level is nonzero
-        sign_bits = (x[b][nonzero] < 0.0).view(np.uint8)
+        sign_bits = x[b][nonzero] < 0.0
         signs.append(sign_bits)
         _dither_block(rec[b], norm32, levels, s, nonzero, sign_bits)
     codes += 1
     payload = BitString.concat([
         norm_field,
         bitio.write_unary_block(codes),
-        _bit_field(np.concatenate(signs)),
+        BitString(np.concatenate(signs)),
     ])
     del codes  # before the distortion's error vector
     return payload, _outcome(x, rec, payload)
@@ -522,20 +518,6 @@ def identity_compress(x):
 
 def identity_decompress(bits: BitString, d):
     return _read_payload(bits, bitio.read_float32_block, d)
-
-
-def contract_wrap(outcome: CompressionOutcome, omega, x):
-    """Embed an unbiased operator into the contractive class: scale the
-    reconstruction by 1/(1+omega), keeping the payload bits."""
-    if not omega >= 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    x = _as_vector(x)
-    rec = outcome.reconstructed / (1.0 + omega)
-    return CompressionOutcome(
-        reconstructed=rec,
-        bits=outcome.bits,
-        distortion=normalized_distortion(x, rec),
-    )
 
 
 # --- the codec table ----------------------------------------------------------
@@ -721,7 +703,9 @@ class Operator:
         c = self.config
         payload, out = CODECS[c.kind].encode(x, c, message_index)
         if c.wrap_omega is not None:
-            out = contract_wrap(out, c.wrap_omega, x)
+            # the contract wrap: an unbiased kind scaled by 1/(1+omega) is
+            # contractive, with the same payload
+            out = _outcome(_as_vector(x), out.reconstructed / (1.0 + c.wrap_omega), payload)
         return payload, out
 
     def decompress(self, bits, d, message_index):

@@ -35,14 +35,15 @@ class TestBitString:
 
     @given(st.integers(0, 2**40 - 1))
     def test_int_round_trip(self, value):
-        assert int(BitString.from_int(value, 40).to01(), 2) == value
-
-    def test_from_int_msb_first(self):
-        assert BitString.from_int(5, 4).to01() == "0101"
+        assert int(bitio.write_fixed(value, 40).to01(), 2) == value
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitString([0, 2])
+
+    @given(st.lists(st.booleans(), max_size=40))
+    def test_boolean_array_is_its_bits(self, flags):
+        assert BitString(np.array(flags, dtype=bool)) == BitString([int(f) for f in flags])
 
     def test_cursor_past_end(self):
         cur = BitCursor(BitString([1, 0]))
@@ -295,6 +296,35 @@ class TestGolombRice:
         with pytest.raises(TruncatedStreamError):
             bitio.golomb_rice_decode(BitCursor(BitString([0, 0, 0])), 1)
 
+    def test_unterminated_quotient_scans_in_bounded_memory(self):
+        # a 31-bit field of ones, then 2^24 zero bits: 2 MiB packed, 16 MiB
+        # if unpacked at one byte per bit
+        n = 1 << 24
+        bits = BitString.from_bytes(b"\xff\xff\xff\xfe" + bytes(n // 8), 32 + n - 1)
+        cur = BitCursor(bits)
+        cur.read_bits(31)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedStreamError):
+                bitio.golomb_rice_decode(cur, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @given(st.integers(0, 9), st.one_of(st.integers(0, 40), st.sampled_from(
+        [8 * bitio.BLOCK + j for j in (-9, -1, 0, 7, 8)] + [16 * bitio.BLOCK + 3])),
+        st.integers(1, 20), st.integers(0, 3))
+    def test_decode_across_bytes_and_blocks(self, lead, zeros, value, m):
+        # `lead` ones, then a code whose quotient has `zeros` more zeros,
+        # so its one may lie in the first byte, a later one or a later BLOCK
+        q, r = value >> m, value & ((1 << m) - 1)
+        width = lead + zeros + q + 1 + m
+        cur = BitCursor(bitio.write_fixed(((1 << lead) - 1) << (width - lead) | 1 << m | r, width))
+        cur.read_bits(lead)
+        assert bitio.golomb_rice_decode(cur, m) == ((q + zeros) << m) | r
+        assert cur.remaining() == 0
+
     def test_expected_length_near_entropy(self):
         # mean code length under Geometric(p) stays within 3 bits of -log2 p
         rng = np.random.default_rng(5)
@@ -514,6 +544,11 @@ class TestGroupedSubsetCode:
             field = bitio.write_fixed(0, bitio.subset_code_width(d, n0))
             assert bitio.read_subset(BitCursor(field), d, n0) == list(range(n0))
 
+    @pytest.mark.parametrize("d,n0", [(0, 1), (1, 2), (10, 11), (10, 1000)])
+    def test_read_rejects_subset_larger_than_dimension(self, d, n0):
+        with pytest.raises(MalformedCodeError, match="exceeds dimension"):
+            bitio.read_subset(BitCursor(BitString([0] * 64)), d, n0)
+
     @pytest.mark.parametrize("d,n0", [(10, 5), (10, 2)])
     def test_read_rejects_out_of_range_rank(self, d, n0):
         total = math.comb(d, n0)
@@ -544,14 +579,14 @@ class TestFloatMagnitude:
             bitio.write_float_magnitude(bad)
 
     def test_largest_finite_field_reads_back(self):
-        cur = BitCursor(BitString.from_int(0x7F7FFFFF, 31))
+        cur = BitCursor(bitio.write_fixed(0x7F7FFFFF, 31))
         assert bitio.read_float_magnitude(cur) == float(np.finfo(np.float32).max)
 
     @pytest.mark.parametrize("word", [0x7F800000, 0x7FC00000, 0x7FFFFFFF], ids=hex)
     def test_non_finite_field_is_malformed(self, word):
         # all exponent bits set: inf or NaN, which no encoder writes
         with pytest.raises(MalformedCodeError):
-            bitio.read_float_magnitude(BitCursor(BitString.from_int(word, 31)))
+            bitio.read_float_magnitude(BitCursor(bitio.write_fixed(word, 31)))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_block_overflow_edge(self, sign):
@@ -570,9 +605,14 @@ class TestFloatMagnitude:
         with pytest.raises(ValueError, match="finite in binary32"):
             bitio.write_float32_block([1.0, bad])
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [
+        math.inf, -math.inf, math.nan,
+        # signalling NaNs, whose cast to float64 raises numpy's invalid flag
+        pytest.param(0x7F800001, id="0x7f800001"), pytest.param(0xFF800001, id="0xff800001"),
+    ])
     def test_non_finite_block_value_is_malformed(self, bad):
-        raw = struct.pack(">3f", 1.0, bad, -2.0)
+        middle = struct.pack(">I" if isinstance(bad, int) else ">f", bad)
+        raw = struct.pack(">f", 1.0) + middle + struct.pack(">f", -2.0)
         with pytest.raises(MalformedCodeError):
             bitio.read_float32_block(BitCursor(BitString.from_bytes(raw, 96)), 3)
 

@@ -122,9 +122,9 @@ class TestReportAndTable:
         # eq1 floor <= bstar + band + 10 across a grid
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             for d in (3, 10, 100, 1000):
-                r = bounds.bound_report(alpha, d)
-                assert r.up_lower <= r.bstar + r.bstar_band + 10.0
-                assert r.avg_lower <= r.bstar
+                bstar, band = bounds.bstar_estimate(alpha, d)
+                assert bounds.up_lower_bound(alpha, d) <= bstar + band + 10.0
+                assert bounds.avg_lower_bound(alpha, d) <= bstar
 
     def test_savings_table_methods(self):
         rows = bounds.savings_table(1000)

@@ -1,6 +1,7 @@
 import os
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -226,6 +227,33 @@ class TestErrorPaths:
         capsys.readouterr()
         assert run(["decompress", "--in", str(msg), *flags(CODECS[kind].decode_params)]) == 2
         assert "binary32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word", [0x7F800001, 0xFF800001], ids=hex)
+    def test_signalling_nan_value_exits_2_without_warning(self, tmp_path, capsys, word):
+        msg = tmp_path / "m.gcv"
+        payload = bitio.write_float32_block([1.0]) + bitio.write_fixed(word, 32)
+        msg.write_bytes(bitio.pack_container(OPERATOR_TAGS["identity"], 2, payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["decompress", "--in", str(msg)]) == 2
+        assert "binary32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["topk", "randsparse"])
+    def test_more_kept_than_coordinates_exits_2(self, tmp_path, capsys, kind):
+        # a k=2 message of d=2 in a d=1 container, read with --k 2
+        msg = compress_file(tmp_path, kind, [1.0, -2.0])
+        tag, _, payload = bitio.unpack_container(msg.read_bytes())
+        msg.write_bytes(bitio.pack_container(tag, 1, payload))
+        capsys.readouterr()
+        assert run(["decompress", "--in", str(msg), "--k", "2"]) == 2
+        assert "subset size 2 exceeds dimension 1" in capsys.readouterr().err
+
+    def test_nonzero_sc_norm_below_d2_exits_2(self, tmp_path, capsys):
+        msg = tmp_path / "m.gcv"
+        payload = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(1, 1)
+        msg.write_bytes(bitio.pack_container(OPERATOR_TAGS["sc"], 1, payload))
+        assert run(["decompress", "--in", str(msg), "--alpha", "0.5"]) == 2
+        assert "nonzero SC norm at d=1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["dsd", "rsd", "dither", "ternary", "sc"])
     def test_scale_below_binary32_exits_3(self, tmp_path, capsys, kind):

@@ -2,14 +2,15 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gradcodec import bitio, compressors as comp
 from gradcodec.bitio import BitCursor, BitString
-from gradcodec.compressors import (CODECS, GiveUpError, OperatorConfig,
-                                   contract_wrap, decode_payload, make_operator)
+from gradcodec.compressors import (CODECS, GiveUpError, OperatorConfig, decode_payload,
+                                   make_operator)
 from gradcodec.geometry import CapParams, cap_probability
 from gradcodec.rng import message_stream
 
@@ -253,6 +254,18 @@ class TestSphericalCompression:
         with pytest.raises(bitio.MalformedCodeError):
             comp.sc_decompress(fake, 3, 0.5, 1, 0)
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_nonzero_norm_below_d2_is_malformed(self, d):
+        # sc_compress takes only x = 0 there, whose message still decodes
+        config = OperatorConfig("sc", alpha=0.5, seed=1)
+        zero = bitio.write_float_magnitude(0.0)
+        assert decode_payload(config, zero, d).tolist() == [0.0] * d
+        if d:
+            assert make_operator(config).compress_at(np.zeros(d), 0)[0] == zero
+        bad = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(1, 1)
+        with pytest.raises(bitio.MalformedCodeError, match=f"nonzero SC norm at d={d}"):
+            decode_payload(config, bad, d)
+
     @staticmethod
     def record_draws(monkeypatch):
         """The (rows, d) shape of every Gaussian block the codec draws."""
@@ -347,6 +360,15 @@ class TestScaleField:
 
 
 class TestBaselines:
+    @pytest.mark.parametrize("kind", ["topk", "randsparse"])
+    def test_more_kept_than_coordinates_is_malformed(self, kind):
+        # a k=2 message of d=2, read at d=1 with k=2: its 0-bit rank field
+        # would name 2 of 1 coordinates
+        config = OperatorConfig(kind, k=2, seed=1)
+        payload, _ = make_operator(config).compress_at(np.array([1.0, -2.0]), 0)
+        with pytest.raises(bitio.MalformedCodeError, match="subset size 2 exceeds dimension 1"):
+            decode_payload(config, payload, 1)
+
     def test_topk_example(self):
         payload, out = comp.topk_compress(np.array([1.0, -3.0, 2.0]), 1)
         assert np.array_equal(out.reconstructed, [0.0, -3.0, 0.0])
@@ -541,8 +563,10 @@ def test_dense_codecs_make_no_vector_sized_temporaries(kind):
 class TestContractWrap:
     def test_identity_unchanged(self):
         x = np.array([1.0, 2.0])
-        _, out = comp.identity_compress(x)
-        wrapped = contract_wrap(out, 0.0, x)
+        payload, out = comp.identity_compress(x)
+        wrapped_payload, wrapped = make_operator(
+            OperatorConfig("identity", wrap_omega=0.0)).compress_at(x, 0)
+        assert wrapped_payload == payload
         assert np.array_equal(wrapped.reconstructed, out.reconstructed)
         assert wrapped.bits == out.bits
 
@@ -550,10 +574,11 @@ class TestContractWrap:
         # RSD(1/4) wrapped with omega=1/4: mean distortion <= 1/5 within 4 SE
         d, nu, n = 20, 0.25, 10_000
         x = message_stream(18, 0).standard_normal(d)
+        op = make_operator(OperatorConfig("rsd", nu=nu, wrap_omega=nu, seed=70))
         dists = np.empty(n)
         for i in range(n):
-            _, out = comp.rsd_compress(x, nu, message_stream(70, i))
-            dists[i] = contract_wrap(out, nu, x).distortion
+            _, out = op.compress_at(x, i)
+            dists[i] = out.distortion
         limit = nu / (1 + nu)
         assert dists.mean() <= limit + 4.0 * dists.std(ddof=1) / math.sqrt(n)
 
@@ -562,10 +587,6 @@ class TestContractWrap:
             OperatorConfig("dsd", nu=0.1, wrap_omega=0.5)
 
     def test_nan_omega_rejected(self):
-        x = np.array([1.0, 2.0])
-        _, out = comp.identity_compress(x)
-        with pytest.raises(ValueError):
-            contract_wrap(out, math.nan, x)
         with pytest.raises(ValueError):
             OperatorConfig("identity", wrap_omega=math.nan)
 
@@ -669,3 +690,76 @@ class TestOperator:
             bad = bitio.write_float32_block([1.0, 2.0]) + bitio.write_fixed(63, 6)
         with pytest.raises(bitio.MalformedCodeError):
             decode_payload(config, bad, d)
+
+
+# decoder fuzz: one configuration per kind that has messages at every
+# d >= 2, with 1/P small enough at alpha = 0.9 for a full SC replay
+FUZZ_CONFIGS = {c.kind: c for c in (
+    OperatorConfig("dsd", nu=0.5),
+    OperatorConfig("rsd", nu=0.5, seed=1),
+    OperatorConfig("sc", alpha=0.9, seed=2),
+    OperatorConfig("topk", k=2),
+    OperatorConfig("randsparse", k=2, seed=3),
+    OperatorConfig("dither", levels=3, seed=4),
+    OperatorConfig("ternary", seed=5),
+    OperatorConfig("natural", seed=6),
+    OperatorConfig("identity"),
+)}
+# binary32 words with all exponent bits set: inf, a quiet NaN and two
+# signalling NaNs
+FUZZ_WORDS = [0x7F800000, 0xFFC00000, 0x7F800001, 0xFF800001]
+
+
+def fuzz_payloads(kind, d, gen):
+    """Random payloads of 0-400 bits, all-zero ones among them; and, where
+    `kind` has messages at d, a real message's payload with one bit
+    flipped, cut short, extended, or one 32-bit word overwritten with a
+    FUZZ_WORDS word."""
+    for n in gen.integers(0, 401, size=24):
+        yield gen.integers(0, 2, size=n, dtype=np.uint8)
+    for n in (0, 31, 64, 400):
+        yield np.zeros(n, dtype=np.uint8)
+    if d < {"sc": 2, "topk": 2, "randsparse": 2}.get(kind, 1):
+        return
+    x = gen.standard_normal(d) * np.exp(gen.standard_normal(d))
+    payload, _ = make_operator(FUZZ_CONFIGS[kind]).compress_at(x, 0)
+    bits = np.unpackbits(payload._buf, count=len(payload))
+    for i in gen.integers(0, bits.size, size=8):
+        flipped = bits.copy()
+        flipped[i] ^= 1
+        yield flipped
+    for n in gen.integers(0, bits.size, size=4):
+        yield bits[:n]
+    for n in gen.integers(1, 17, size=4):
+        yield np.concatenate([bits, gen.integers(0, 2, size=n, dtype=np.uint8)])
+    for word in FUZZ_WORDS if bits.size >= 32 else ():
+        start = 32 * int(gen.integers(0, bits.size // 32))
+        overwritten = bits.copy()
+        overwritten[start:start + 32] = np.unpackbits(np.frombuffer(
+            word.to_bytes(4, "big"), dtype=np.uint8))
+        yield overwritten
+
+
+def test_decoders_return_a_vector_or_raise_decode_error():
+    # every decode of a fuzzed payload at d - 1, d and d + 1 returns a
+    # float64 d-vector or raises DecodeError, with no warning
+    gen = np.random.default_rng(2024)
+    escapes = []
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, config in FUZZ_CONFIGS.items():
+            for d in (0, 1, 2, 3, 17, 64):
+                for bits in fuzz_payloads(kind, d, gen):
+                    for dd in range(max(d - 1, 0), d + 2):
+                        try:
+                            rec = decode_payload(config, BitString(bits), dd)
+                        except bitio.DecodeError:
+                            continue
+                        except Exception as exc:  # any other escape is reported below
+                            escapes.append(f"{kind} d={dd} {bits.size} bits: {exc!r}")
+                            continue
+                        if not (rec.dtype == np.float64 and rec.shape == (dd,)):
+                            escapes.append(f"{kind} d={dd}: {rec.dtype} {rec.shape}")
+    assert escapes == []
+    assert time.perf_counter() - start < 5.0

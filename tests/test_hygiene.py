@@ -1,7 +1,9 @@
 """Code that only its own unit test calls is deleted, or kept with a
 stated reason: every module-level function, class and constant of
 src/gradcodec must be named somewhere outside its own definition in
-src, scripts or perfbench."""
+src, scripts or perfbench.  Likewise no module-level function only
+restates another: none may just pass its own parameters, in order, to
+one other callable."""
 
 import ast
 import re
@@ -18,6 +20,12 @@ WORD = re.compile(r"\w+")
 # name -> why it stays although no program file names it
 KEPT = {
     "serialize_libsvm": "the reference writer of the LIBSVM parser round-trip tests",
+}
+
+
+# function name -> why it stays although it only forwards its parameters
+FORWARDERS_KEPT = {
+    "make_operator": "the entry point that the README and perfbench call",
 }
 
 
@@ -61,3 +69,37 @@ def test_every_module_level_name_is_used_or_kept():
 
 def test_every_kept_name_still_exists_unused():
     assert sorted(entry.split(":")[1] for entry in unused_names()) == sorted(KEPT)
+
+
+def _forwards(node):
+    """Whether a def's body, past its docstring, is one call that passes
+    the def's own parameters, in order and unchanged, and nothing else."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], (ast.Return, ast.Expr)):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    a = node.args
+    args = [p.arg for p in a.posonlyargs + a.args] + ([f"*{a.vararg.arg}"] if a.vararg else [])
+    keywords = [(p.arg, p.arg) for p in a.kwonlyargs] + ([(None, a.kwarg.arg)] if a.kwarg else [])
+    return ([ast.unparse(v) for v in call.args] == args
+            and [(k.arg, ast.unparse(k.value)) for k in call.keywords] == keywords)
+
+
+def forwarders():
+    """'module.py:name' of each module-level function that only forwards."""
+    return [f"{path.name}:{node.name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and _forwards(node)]
+
+
+def test_no_function_only_forwards_its_parameters():
+    assert [entry for entry in forwarders() if entry.split(":")[1] not in FORWARDERS_KEPT] == []
+
+
+def test_every_kept_forwarder_still_forwards():
+    assert sorted(entry.split(":")[1] for entry in forwarders()) == sorted(FORWARDERS_KEPT)
