@@ -34,11 +34,13 @@ class BitString:
     __slots__ = ("_buf", "_len")
 
     def __init__(self, bits=()):
-        """The bits of a 0/1 sequence; a boolean array needs no 0/1 check."""
+        """The bits of a 0/1 sequence of any dtype; ValueError on any other
+        element.  A boolean array needs no check."""
         if getattr(bits, "dtype", None) != bool:
-            bits = np.asarray(bits, dtype=np.uint8)
-            if bits.max(initial=0) > 1:
+            bits = np.asarray(bits)
+            if ((bits != 0) & (bits != 1)).any():
                 raise ValueError("bits must be 0 or 1")
+            bits = bits == 1
         self._buf = np.packbits(bits, axis=None)
         self._len = int(bits.size)
 

@@ -1,10 +1,13 @@
 """Compression operators with exact bit accounting.
 
-Every operator is an encode/decode pair: encode maps a vector to a
-BitString plus a CompressionOutcome (the reconstruction the decoder
-will produce, the exact payload bit count, and the normalized
-distortion ||C(x)-x||^2 / ||x||^2); decode maps the BitString back to
-the identical reconstruction.
+Every operator is a writer/reader pair, named by its row of CODECS: the
+writer maps a finite float64 vector to a BitString payload and the
+reconstruction the decoder will produce; the reader maps a BitCursor
+over that payload back to the identical reconstruction.  Around the
+pair, Operator.compress_at validates the input, applies a contract wrap
+and builds the CompressionOutcome (the exact payload bit count, and the
+normalized distortion ||C(x)-x||^2 / ||x||^2); decode_payload opens the
+cursor and rejects bits left after the reader is done.
 
 Shared payload conventions:
   * scale fields are 31-bit binary32 magnitudes (sign bit dropped),
@@ -63,14 +66,6 @@ def normalized_distortion(x, reconstructed):
     return float(np.dot(err, err) / nx2)
 
 
-def _outcome(x, reconstructed, payload):
-    return CompressionOutcome(
-        reconstructed=reconstructed,
-        bits=len(payload),
-        distortion=normalized_distortion(x, reconstructed),
-    )
-
-
 def _scale_field(value):
     """(the 31-bit scale field of value, the value a decoder reads back
     from it); ValueError where value overflows binary32 or a positive
@@ -103,15 +98,12 @@ def _blocks(d):
     return [slice(i, i + bitio.BLOCK) for i in range(0, d, bitio.BLOCK)]
 
 
-def _read_payload(bits: BitString, read, *args):
-    """read(cursor, *args) over the whole payload; DecodeError on leftover bits."""
-    cursor = BitCursor(bits)
-    fields = read(cursor, *args)
+def _check_end(cursor):
+    """DecodeError where the payload has bits left after its fields."""
     if cursor.remaining():
         raise bitio.DecodeError(
             f"{cursor.remaining()} trailing bits after payload (offset {cursor.pos})"
         )
-    return fields
 
 
 # --- sparse dithering ------------------------------------------------------
@@ -130,7 +122,7 @@ def _sd_compress(x, levels, negative, gamma):
     """The sparse-dithering layout: the wire scale gamma, the zero count,
     the zero set's rank, then a sign bit (from the boolean mask
     `negative`) and a unary level per nonzero level; with no nonzero
-    level, gamma = 0.  Returns (payload, outcome)."""
+    level, gamma = 0.  Returns (payload, reconstruction)."""
     d = x.size
     nz = levels > 0
     gamma_field, gamma = _scale_field(gamma if nz.any() else 0.0)
@@ -143,17 +135,16 @@ def _sd_compress(x, levels, negative, gamma):
         BitString(sign_bits),
         bitio.write_unary_block(levels[nz]),
     ])
-    rec = _sd_vector(d, gamma, zeros, sign_bits, levels[nz])
-    return payload, _outcome(x, rec, payload)
+    return payload, _sd_vector(d, gamma, zeros, sign_bits, levels[nz])
 
 
 def _sd_read(cursor, d):
-    """(gamma, zero positions, sign bits, levels) of the sparse-dithering layout."""
+    """The reconstruction of the sparse-dithering layout, for dsd and rsd."""
     gamma = bitio.read_float_magnitude(cursor)
     n0 = cursor.read_bits(d.bit_length())
     zeros = bitio.read_subset(cursor, d, n0)
     sign_bits = cursor._take(d - n0)
-    return gamma, zeros, sign_bits, bitio.read_unary_block(cursor, d - n0)
+    return _sd_vector(d, gamma, zeros, sign_bits, bitio.read_unary_block(cursor, d - n0))
 
 
 def dsd_quantize(x, nu):
@@ -163,8 +154,6 @@ def dsd_quantize(x, nu):
     depend only on x / ||x||, so they are scale invariant.  Exact
     midpoints round toward the smaller level.
     """
-    x = _as_vector(x)
-    check_param("nu", nu)
     norm, u = _direction(x)
     if norm == 0.0:
         return np.zeros(x.size, dtype=np.int64), np.zeros(x.size, dtype=np.int64)
@@ -180,7 +169,6 @@ def dsd_compress(x, nu):
     coordinate of the unit direction, reconstruction rescaled by the
     error-minimizing factor <x, u_hat> / ||u_hat||^2.
     """
-    x = _as_vector(x)
     levels, signs = dsd_quantize(x, nu)
     gamma = 0.0
     if levels.any():
@@ -190,19 +178,12 @@ def dsd_compress(x, nu):
     return _sd_compress(x, levels, signs < 0, gamma)
 
 
-def dsd_decompress(bits: BitString, d):
-    """Inverse of dsd_compress; bit-identical to the encoder outcome."""
-    return _sd_vector(d, *_read_payload(bits, _sd_read, d))
-
-
 def rsd_compress(x, nu, rng: np.random.Generator):
     """Randomized sparse dithering: each coordinate rounds to one of its
     two neighboring levels with unbiasing probabilities; the wire scale
     is 2 h ||x||, making E[C(x)] = x.
     """
-    x = _as_vector(x)
     d = x.size
-    check_param("nu", nu)
     norm, u = _direction(x)  # x = 0 rounds every level to 0
     h = math.sqrt(nu / d)
     levels = _stochastic_levels(np.abs(u) / (2.0 * h), rng).astype(np.int64)
@@ -261,14 +242,14 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     Golomb-Rice coded trial count.
 
     Strictly contractive: the accepted reconstruction satisfies
-    ||C(x) - x||^2 <= alpha ||x||^2 by construction.
+    ||C(x) - x||^2 <= alpha ||x||^2 by construction.  x is a finite
+    float64 vector; returns (payload, reconstruction).
     """
-    x = _as_vector(x)
     d = x.size
     norm = math.sqrt(float(np.dot(x, x)))
     norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
-        return norm_field, _outcome(x, np.zeros(d), norm_field)
+        return norm_field, np.zeros(d)
     m, cap, block = sc_code(alpha, d)
     if trial_cap is not None:
         cap = trial_cap
@@ -288,12 +269,11 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
             rec = _sc_vector(norm32, alpha, w[i])
             err = rec - x
             if float(np.dot(err, err)) <= threshold:
-                payload = norm_field + bitio.golomb_rice_encode(first + int(i) + 1, m)
-                return payload, _outcome(x, rec, payload)
+                return norm_field + bitio.golomb_rice_encode(first + int(i) + 1, m), rec
     raise GiveUpError(f"no accepted point within {cap} trials (alpha={alpha}, d={d})")
 
 
-def _sc_read(cursor, d, alpha):
+def _sc_fields(cursor, d, alpha):
     """(norm, T); T = 0 for the zero message.  MalformedCodeError on what
     no encoder writes: a nonzero norm at d < 2, where sc_compress takes
     only x = 0, or T above the trial cap."""
@@ -309,10 +289,10 @@ def _sc_read(cursor, d, alpha):
     return norm, T
 
 
-def sc_decompress(bits: BitString, d, alpha, seed, message_index=0):
+def _sc_read(cursor, d, alpha, seed, message_index):
     """Replay the encoder's keyed sample stream for T trials and rescale."""
-    # the payload is checked whole before the replay, whose cost grows with T
-    norm, T = _read_payload(bits, _sc_read, d, alpha)
+    norm, T = _sc_fields(cursor, d, alpha)
+    _check_end(cursor)  # before the replay, whose cost grows with T
     if norm == 0.0:
         return np.zeros(d)
     for _, w in _sc_candidates(seed, message_index, d, T, _sc_largest_block(d)):
@@ -331,21 +311,22 @@ def _sparse_vector(d, sel, vals):
 
 def _sparse_compress(x, sel, vals):
     """The sparse layout: binary32 values, then the subset rank of their
-    sorted positions `sel`.  Returns (payload, outcome)."""
+    sorted positions `sel`.  Returns (payload, reconstruction)."""
     d, k = x.size, sel.size
     payload = bitio.write_float32_block(vals) + bitio.write_subset(sel.tolist(), d, k)
-    return payload, _outcome(x, _sparse_vector(d, sel, vals.astype(np.float32)), payload)
+    return payload, _sparse_vector(d, sel, vals.astype(np.float32))
 
 
 def _sparse_read(cursor, d, k):
-    return bitio.read_float32_block(cursor, k), bitio.read_subset(cursor, d, k)
+    """The reconstruction of the sparse layout, for topk and randsparse."""
+    vals = bitio.read_float32_block(cursor, k)
+    return _sparse_vector(d, bitio.read_subset(cursor, d, k), vals)
 
 
 def topk_compress(x, k):
     """Keep the k largest-magnitude coordinates (ties to the lower index),
     sent as binary32 values plus a subset rank for the positions.
     """
-    x = _as_vector(x)
     d = x.size
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
@@ -354,15 +335,8 @@ def topk_compress(x, k):
     return _sparse_compress(x, sel, x[sel])
 
 
-def topk_decompress(bits: BitString, d, k):
-    """Decoder of the sparse layout, for topk and randsparse."""
-    vals, sel = _read_payload(bits, _sparse_read, d, k)
-    return _sparse_vector(d, sel, vals)
-
-
 def random_sparsify(x, k, rng: np.random.Generator):
     """Uniform k-subset, kept coordinates rescaled by d/k for unbiasedness."""
-    x = _as_vector(x)
     d = x.size
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
@@ -382,15 +356,14 @@ def _dither_block(out, norm, levels, s, nonzero, sign_bits):
 def std_dither(x, s, rng: np.random.Generator):
     """Random dithering with s uniform levels on |u_i| of the unit
     direction: stochastic rounding of s |u_i|, encoded as a 31-bit norm,
-    a block of unary levels, and one sign bit per nonzero level.
+    a block of unary levels, and one sign bit per nonzero level; s = 1
+    is ternary quantization, {-1, 0, +1} times the norm.
     """
-    x = _as_vector(x)
     d = x.size
-    check_param("levels", s)
     norm = math.sqrt(float(np.dot(x, x)))
     norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
-        return norm_field, _outcome(x, np.zeros(d), norm_field)
+        return norm_field, np.zeros(d)
     codes = np.empty(d, dtype=np.int64)  # level + 1, the unary code
     rec = np.empty(d)
     signs = []
@@ -411,8 +384,7 @@ def std_dither(x, s, rng: np.random.Generator):
         bitio.write_unary_block(codes),
         BitString(np.concatenate(signs)),
     ])
-    del codes  # before the distortion's error vector
-    return payload, _outcome(x, rec, payload)
+    return payload, rec
 
 
 def _dither_read(cursor, d, s):
@@ -432,15 +404,6 @@ def _dither_read(cursor, d, s):
     return rec
 
 
-def std_dither_decompress(bits: BitString, d, s):
-    return _read_payload(bits, _dither_read, d, s)
-
-
-def ternary(x, rng: np.random.Generator):
-    """Single-level dithering: coordinates snap to {-1, 0, +1} scaled by the norm."""
-    return std_dither(x, 1, rng)
-
-
 # natural compression's 9-bit field sign << 8 | e stands for (-1)^sign
 # 2^(e - 127), and for 0 where e = 0: the values of all 512 fields
 _NATURAL_VALUES = np.array([math.ldexp(1.0 - 2.0 * sign, e - 127) if e else 0.0
@@ -458,7 +421,6 @@ def natural_compress(x, rng: np.random.Generator):
     The exponent field holds 2^-126 .. 2^127 and 0, so |x_i| above 2^127
     is rejected, and |x_i| below 2^-126 rounds between 0 and 2^-126.
     """
-    x = _as_vector(x)
     d = x.size
     packed = np.empty(9 * -(-d // 8), dtype=np.uint8)
     rec = np.empty(d)
@@ -486,16 +448,16 @@ def natural_compress(x, rng: np.random.Generator):
         out[:, 8] = 0
         out[:, 1:] |= groups << _LOW_SHIFT
         _NATURAL_VALUES.take(fields[:ax.size].astype(np.intp), out=rec[b])
-    payload = BitString.from_bytes(packed, 9 * d)
-    return payload, _outcome(x, rec, payload)
+    return BitString.from_bytes(packed, 9 * d), rec
 
 
-def natural_decompress(bits: BitString, d):
-    _read_payload(bits, BitCursor._advance, 9 * d)
+def _natural_read(cursor, d):
+    """The reconstruction: d 9-bit fields from the payload's first bit."""
+    cursor._advance(9 * d)
     rec = np.empty(d)
     for b in _blocks(d):
         n = rec[b].size
-        raw = bits._buf[b.start // 8 * 9:][:-(-n // 8) * 9]
+        raw = cursor._buf[b.start // 8 * 9:][:-(-n // 8) * 9]
         if raw.size % 9:  # the last group's bytes past the payload are zero
             raw = np.concatenate([raw, np.zeros(9 - raw.size % 9, dtype=np.uint8)])
         # field j of a group is the big-endian pair of its bytes j and j + 1,
@@ -511,13 +473,8 @@ def natural_decompress(bits: BitString, d):
 
 def identity_compress(x):
     """Uncompressed baseline: d binary32 values, 32 d bits."""
-    x = _as_vector(x)
     payload = bitio.write_float32_block(x)
-    return payload, _outcome(x, payload._buf.view(">f4").astype(np.float64), payload)
-
-
-def identity_decompress(bits: BitString, d):
-    return _read_payload(bits, bitio.read_float32_block, d)
+    return payload, payload._buf.view(">f4").astype(np.float64)
 
 
 # --- the codec table ----------------------------------------------------------
@@ -526,12 +483,16 @@ def identity_decompress(bits: BitString, d):
 class CodecSpec:
     """Everything that differs between operator kinds.
 
-    encode(x, config, message_index) -> (payload, outcome) reads the
-    `params` fields of the config, and its seed when `randomized`;
-    decode(bits, d, config, message_index) -> vector reads only the
-    `decode_params` fields and the seed.  `unbiased` kinds, E[C(x)] = x,
-    accept a contract wrap.  `predicted`, where set, maps (config, d) to
-    the (column, value) that `gradcodec compress` prints next to the
+    write(x, config, message_index) -> (payload, reconstruction) takes a
+    finite float64 vector and reads the `params` fields of the config,
+    and its seed when `randomized`; the bit count is len(payload).
+    read(cursor, d, config, message_index) -> vector consumes the
+    payload's fields from a BitCursor and reads only the `decode_params`
+    fields and the seed.  Operator.compress_at and decode_payload do
+    the rest: input checks, the outcome, the contract wrap and the
+    trailing-bit gate.  `unbiased` kinds, E[C(x)] = x, accept a
+    contract wrap.  `predicted`, where set, maps (config, d) to the
+    (column, value) that `gradcodec compress` prints next to the
     measured bits.
     """
 
@@ -540,62 +501,62 @@ class CodecSpec:
     decode_params: tuple
     randomized: bool
     unbiased: bool
-    encode: Callable
-    decode: Callable
+    write: Callable
+    read: Callable
     predicted: Callable = None
 
 
 CODECS = {
     "dsd": CodecSpec(
         tag=1, params=("nu",), decode_params=(), randomized=False, unbiased=False,
-        encode=lambda x, c, i: dsd_compress(x, c.nu),
-        decode=lambda bits, d, c, i: dsd_decompress(bits, d),
+        write=lambda x, c, i: dsd_compress(x, c.nu),
+        read=lambda cur, d, c, i: _sd_read(cur, d),
         predicted=lambda c, d: ("predicted_dsd_bits",
                                 f"{bounds.dsd_predicted_bits(c.nu, d):.1f}"),
     ),
     "rsd": CodecSpec(
         tag=2, params=("nu",), decode_params=(), randomized=True, unbiased=True,
-        encode=lambda x, c, i: rsd_compress(x, c.nu, message_stream(c.seed, i)),
-        decode=lambda bits, d, c, i: dsd_decompress(bits, d),
+        write=lambda x, c, i: rsd_compress(x, c.nu, message_stream(c.seed, i)),
+        read=lambda cur, d, c, i: _sd_read(cur, d),
         predicted=lambda c, d: ("predicted_rsd_bits",
                                 f"{bounds.rsd_predicted_bits(c.nu, d):.1f}"),
     ),
     "sc": CodecSpec(
         tag=3, params=("alpha",), decode_params=("alpha",), randomized=True, unbiased=False,
-        encode=lambda x, c, i: sc_compress(x, c.alpha, c.seed, i),
-        decode=lambda bits, d, c, i: sc_decompress(bits, d, c.alpha, c.seed, i),
+        write=lambda x, c, i: sc_compress(x, c.alpha, c.seed, i),
+        read=lambda cur, d, c, i: _sc_read(cur, d, c.alpha, c.seed, i),
         predicted=lambda c, d: ("avg_lower_bits",
                                 f"{bounds.avg_lower_bound(c.alpha, d):.2f}"),
     ),
     "topk": CodecSpec(
         tag=4, params=("k",), decode_params=("k",), randomized=False, unbiased=False,
-        encode=lambda x, c, i: topk_compress(x, c.k),
-        decode=lambda bits, d, c, i: topk_decompress(bits, d, c.k),
+        write=lambda x, c, i: topk_compress(x, c.k),
+        read=lambda cur, d, c, i: _sparse_read(cur, d, c.k),
     ),
     "randsparse": CodecSpec(
         tag=5, params=("k",), decode_params=("k",), randomized=True, unbiased=True,
-        encode=lambda x, c, i: random_sparsify(x, c.k, message_stream(c.seed, i)),
-        decode=lambda bits, d, c, i: topk_decompress(bits, d, c.k),
+        write=lambda x, c, i: random_sparsify(x, c.k, message_stream(c.seed, i)),
+        read=lambda cur, d, c, i: _sparse_read(cur, d, c.k),
     ),
     "dither": CodecSpec(
         tag=6, params=("levels",), decode_params=("levels",), randomized=True, unbiased=True,
-        encode=lambda x, c, i: std_dither(x, c.levels, message_stream(c.seed, i)),
-        decode=lambda bits, d, c, i: std_dither_decompress(bits, d, c.levels),
+        write=lambda x, c, i: std_dither(x, c.levels, message_stream(c.seed, i)),
+        read=lambda cur, d, c, i: _dither_read(cur, d, c.levels),
     ),
     "ternary": CodecSpec(
         tag=7, params=(), decode_params=(), randomized=True, unbiased=True,
-        encode=lambda x, c, i: ternary(x, message_stream(c.seed, i)),
-        decode=lambda bits, d, c, i: std_dither_decompress(bits, d, 1),
+        write=lambda x, c, i: std_dither(x, 1, message_stream(c.seed, i)),
+        read=lambda cur, d, c, i: _dither_read(cur, d, 1),
     ),
     "natural": CodecSpec(
         tag=8, params=(), decode_params=(), randomized=True, unbiased=True,
-        encode=lambda x, c, i: natural_compress(x, message_stream(c.seed, i)),
-        decode=lambda bits, d, c, i: natural_decompress(bits, d),
+        write=lambda x, c, i: natural_compress(x, message_stream(c.seed, i)),
+        read=lambda cur, d, c, i: _natural_read(cur, d),
     ),
     "identity": CodecSpec(
         tag=9, params=(), decode_params=(), randomized=False, unbiased=True,
-        encode=lambda x, c, i: identity_compress(x),
-        decode=lambda bits, d, c, i: identity_decompress(bits, d),
+        write=lambda x, c, i: identity_compress(x),
+        read=lambda cur, d, c, i: bitio.read_float32_block(cur, d),
     ),
 }
 
@@ -624,9 +585,10 @@ def _param(help, domain, rejects, label=None):
     return dataclasses.field(default=None, metadata=metadata)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorConfig:
-    """Tagged operator description; exactly the fields for `kind` apply."""
+    """Tagged operator description; exactly the fields for `kind` apply.
+    Frozen, because its fields are checked only here, when it is made."""
 
     kind: str
     nu: float = _param("sparse dithering variance target", "> 0", lambda v: not v > 0.0)
@@ -676,16 +638,26 @@ def check_param(name, value):
         raise ValueError(f"{name} must be {meta['domain']}, got {value}")
 
 
+def _check_index(message_index):
+    """Every kind rejects a negative index, whether or not it draws a stream."""
+    if message_index < 0:
+        raise ValueError("message_index must be >= 0")
+
+
 def decode_payload(config, bits, d, message_index=0):
-    """Decode one payload of config.kind, undoing a contract wrap.
+    """Decode one payload of config.kind, undoing a contract wrap;
+    DecodeError where bits are left after the kind's fields.
 
     `config` is an OperatorConfig or any object with kind, seed,
     wrap_omega and the kind's decode_params: a decoder needs none of
     the encoder-only parameters.
     """
-    rec = CODECS[config.kind].decode(bits, d, config, message_index)
+    _check_index(message_index)
+    cursor = BitCursor(bits)
+    rec = CODECS[config.kind].read(cursor, d, config, message_index)
+    _check_end(cursor)
     if config.wrap_omega is not None:
-        rec = rec / (1.0 + config.wrap_omega)
+        rec /= 1.0 + config.wrap_omega
     return rec
 
 
@@ -700,13 +672,16 @@ class Operator:
         return CODECS[self.config.kind].tag
 
     def compress_at(self, x, message_index):
+        """(payload, CompressionOutcome) of message `message_index`."""
         c = self.config
-        payload, out = CODECS[c.kind].encode(x, c, message_index)
+        _check_index(message_index)
+        x = _as_vector(x)
+        payload, rec = CODECS[c.kind].write(x, c, message_index)
         if c.wrap_omega is not None:
             # the contract wrap: an unbiased kind scaled by 1/(1+omega) is
             # contractive, with the same payload
-            out = _outcome(_as_vector(x), out.reconstructed / (1.0 + c.wrap_omega), payload)
-        return payload, out
+            rec /= 1.0 + c.wrap_omega
+        return payload, CompressionOutcome(rec, len(payload), normalized_distortion(x, rec))
 
     def decompress(self, bits, d, message_index):
         return decode_payload(self.config, bits, d, message_index)

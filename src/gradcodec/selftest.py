@@ -15,7 +15,8 @@ import numpy as np
 from scipy import stats
 
 from . import bounds
-from .compressors import OperatorConfig, _read_payload, _sc_read, make_operator
+from .bitio import BitCursor
+from .compressors import OperatorConfig, _sc_fields, make_operator
 from .data import synth_classification, synth_regression
 from .geometry import CapParams, cap_probability, mc_cap_probability
 from .optim import (cgd_run, gradient, iteration_ratio_sweep, loss,
@@ -236,7 +237,7 @@ def sc_battery(budget):
         for i in range(budget.sc_messages):
             payload, out = op.compress_at(gen.standard_normal(d), i)
             measured.append((out.bits, out.distortion))
-            trial_counts[i] = _read_payload(payload, _sc_read, d, alpha)[1]
+            trial_counts[i] = _sc_fields(BitCursor(payload), d, alpha)[1]
         cell_stats = _config_stats(op.config.label(), d, measured)
         cells[(alpha, d)] = {
             "stats": cell_stats,

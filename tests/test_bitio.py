@@ -40,6 +40,10 @@ class TestBitString:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitString([0, 2])
+        # out-of-range elements of any dtype, not wrapped or truncated to a bit
+        for bad in (np.array([256, 1]), np.array([1.7, 0.2]), [256], np.array([-1, 0])):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                BitString(bad)
 
     @given(st.lists(st.booleans(), max_size=40))
     def test_boolean_array_is_its_bits(self, flags):

@@ -263,6 +263,17 @@ class TestErrorPaths:
                     "--out", str(tmp_path / "o")]) == 3
         assert "smallest subnormal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", CODECS)
+    def test_negative_message_index_exits_3(self, tmp_path, capsys, kind):
+        msg = compress_file(tmp_path, kind, [3.0, -4.0, 1.0], seed=1)
+        capsys.readouterr()
+        assert run(["compress", "--op", kind, *flags(CODECS[kind].params),
+                    "--message-index", "-1", "--in", str(tmp_path / "vec.txt"),
+                    "--out", str(tmp_path / "o")]) == 3
+        assert run(["decompress", "--in", str(msg), *flags(CODECS[kind].decode_params),
+                    "--seed", "1", "--message-index", "-5"]) == 3
+        assert capsys.readouterr().err.count("message_index must be >= 0") == 2
+
     def test_dimension_above_max_d_exits_2(self, tmp_path, capsys):
         # 21 bytes: a dsd header near d = 2^32 over a zero scale and a
         # zero count, which would decode to d float64 zeros

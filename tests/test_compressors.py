@@ -41,18 +41,19 @@ class TestDeterministicSparseDithering:
         levels, signs = comp.dsd_quantize(x, 0.1)
         assert levels.tolist() == [1, 2]
         assert signs.tolist() == [1, 1]
-        payload, out = comp.dsd_compress(x, 0.1)
+        payload, out = make_operator(CONFIGS["dsd"]).compress_at(x, 0)
         assert out.reconstructed == pytest.approx([2.2, 4.4], abs=1e-6)
         assert out.distortion == pytest.approx(0.032, abs=1e-9)
         assert out.bits == sd_bit_formula(2, 0, 3) == 38
 
     def test_round_trip_matches_encoder(self):
         rng = np.random.default_rng(0)
+        op = make_operator(CONFIGS["dsd"])
         for d in (1, 2, 3, 17, 120):
             for _ in range(20):
                 x = rng.standard_normal(d) * rng.lognormal()
-                payload, out = comp.dsd_compress(x, 0.1)
-                rec = comp.dsd_decompress(payload, d)
+                payload, out = op.compress_at(x, 0)
+                rec = decode_payload(op.config, payload, d)
                 assert np.array_equal(rec, out.reconstructed)
 
     def test_distortion_below_nu_and_sin2(self):
@@ -60,7 +61,7 @@ class TestDeterministicSparseDithering:
         for nu in (0.05, 0.1, 0.5, 1.0, 2.0):
             for d in (1, 2, 3, 10, 64):
                 x = rng.standard_normal(d) * 3
-                _, out = comp.dsd_compress(x, nu)
+                _, out = make_operator(OperatorConfig("dsd", nu=nu)).compress_at(x, 0)
                 assert out.distortion <= min(nu, 1.0) + 1e-12
                 levels, signs = comp.dsd_quantize(x, nu)
                 u_hat = signs * 2.0 * math.sqrt(nu / d) * levels
@@ -75,20 +76,20 @@ class TestDeterministicSparseDithering:
             x = rng.standard_normal(d)
             levels, _ = comp.dsd_quantize(x, 0.1)
             n0 = int((levels == 0).sum())
-            payload, out = comp.dsd_compress(x, 0.1)
+            payload, out = make_operator(CONFIGS["dsd"]).compress_at(x, 0)
             assert out.bits == sd_bit_formula(d, n0, int(levels.sum()))
 
     def test_zero_vector_message(self):
         d = 9
-        payload, out = comp.dsd_compress(np.zeros(d), 0.1)
+        payload, out = make_operator(CONFIGS["dsd"]).compress_at(np.zeros(d), 0)
         assert out.bits == 31 + d.bit_length()
         assert out.distortion == 0.0
-        assert np.array_equal(comp.dsd_decompress(payload, d), np.zeros(d))
+        assert np.array_equal(decode_payload(CONFIGS["dsd"], payload, d), np.zeros(d))
 
     def test_all_coordinates_collapse_when_nu_above_one(self):
         # every |u_i| < h is only possible for nu >= 1; spec: C(x)=0, phi=pi/2
         x = np.array([0.5, 0.5, 0.5, 0.5])
-        payload, out = comp.dsd_compress(x, 2.5)
+        payload, out = make_operator(OperatorConfig("dsd", nu=2.5)).compress_at(x, 0)
         assert np.array_equal(out.reconstructed, np.zeros(4))
         assert out.distortion == 1.0
         levels, _ = comp.dsd_quantize(x, 2.5)
@@ -112,17 +113,17 @@ class TestDeterministicSparseDithering:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            comp.dsd_compress([1.0, math.nan], 0.1)
+            make_operator(CONFIGS["dsd"]).compress_at([1.0, math.nan], 0)
         with pytest.raises(ValueError):
-            comp.dsd_compress([1.0], 0.0)
+            OperatorConfig("dsd", nu=0.0)
         with pytest.raises(ValueError):
             OperatorConfig("rsd", nu=math.nan)
 
     def test_truncated_payload(self):
-        payload, _ = comp.dsd_compress(np.array([3.0, 4.0]), 0.1)
+        payload, _ = make_operator(CONFIGS["dsd"]).compress_at(np.array([3.0, 4.0]), 0)
         cut = BitString.from_bytes(payload.to_bytes(), len(payload) - 5)
         with pytest.raises(bitio.DecodeError):
-            comp.dsd_decompress(cut, 2)
+            decode_payload(CONFIGS["dsd"], cut, 2)
 
 
 class TestRandomizedSparseDithering:
@@ -132,8 +133,9 @@ class TestRandomizedSparseDithering:
         nu = 2 * 0.2 ** 2
         n = 20_000
         ups = 0
+        op = make_operator(OperatorConfig("rsd", nu=nu, seed=17))
         for i in range(n):
-            _, out = comp.rsd_compress(x, nu, message_stream(17, i))
+            _, out = op.compress_at(x, i)
             v = float(out.reconstructed[0])
             assert min(abs(v - 0.4), abs(v - 0.8)) < 1e-6
             if v > 0.6:
@@ -146,8 +148,9 @@ class TestRandomizedSparseDithering:
         x = message_stream(7, 0).standard_normal(d)
         recs = np.empty((n, d))
         sq = np.empty(n)
+        op = make_operator(OperatorConfig("rsd", nu=nu, seed=23))
         for i in range(n):
-            _, out = comp.rsd_compress(x, nu, message_stream(23, i))
+            _, out = op.compress_at(x, i)
             recs[i] = out.reconstructed
             sq[i] = np.dot(out.reconstructed, out.reconstructed)
         se = recs.std(axis=0, ddof=1) / math.sqrt(n)
@@ -157,21 +160,24 @@ class TestRandomizedSparseDithering:
 
     def test_round_trip(self):
         gen = np.random.default_rng(4)
+        op = make_operator(OperatorConfig("rsd", nu=0.25, seed=31))
         for d in (2, 17, 256):
             for i in range(30):
                 x = gen.standard_normal(d)
-                payload, out = comp.rsd_compress(x, 0.25, message_stream(31, i))
-                assert np.array_equal(comp.dsd_decompress(payload, d),
+                payload, out = op.compress_at(x, i)
+                assert np.array_equal(decode_payload(op.config, payload, d, i),
                                       out.reconstructed)
 
     def test_zero_vector(self):
-        payload, out = comp.rsd_compress(np.zeros(5), 0.25, message_stream(1, 0))
-        assert np.array_equal(comp.dsd_decompress(payload, 5), np.zeros(5))
+        config = OperatorConfig("rsd", nu=0.25, seed=1)
+        payload, out = make_operator(config).compress_at(np.zeros(5), 0)
+        assert np.array_equal(decode_payload(config, payload, 5), np.zeros(5))
 
     def test_levels_scale_invariant(self):
         x = message_stream(9, 0).standard_normal(30)
-        p1, o1 = comp.rsd_compress(x, 0.25, message_stream(5, 3))
-        p2, o2 = comp.rsd_compress(10.0 * x, 0.25, message_stream(5, 3))
+        op = make_operator(OperatorConfig("rsd", nu=0.25, seed=5))
+        p1, o1 = op.compress_at(x, 3)
+        p2, o2 = op.compress_at(10.0 * x, 3)
         # same stream, same unit direction: identical levels and signs,
         # gamma differs by the norm factor only
         c1, c2 = BitCursor(p1), BitCursor(p2)
@@ -190,9 +196,10 @@ class TestSphericalCompression:
         gen = message_stream(40, 0)
         m = comp.sc_code(alpha, d)[0]
         ts = np.empty(n)
+        op = make_operator(OperatorConfig("sc", alpha=alpha, seed=41))
         for i in range(n):
             x = gen.standard_normal(d)
-            payload, _ = comp.sc_compress(x, alpha, 41, i)
+            payload, _ = op.compress_at(x, i)
             cur = BitCursor(payload)
             bitio.read_float_magnitude(cur)
             ts[i] = bitio.golomb_rice_decode(cur, m)
@@ -203,27 +210,31 @@ class TestSphericalCompression:
     def test_strict_contraction_every_message(self):
         gen = message_stream(42, 0)
         for alpha, d in ((0.3, 3), (0.5, 3), (0.7, 10), (0.9, 25)):
+            op = make_operator(OperatorConfig("sc", alpha=alpha, seed=43))
             for i in range(200):
                 x = gen.standard_normal(d) * gen.lognormal()
-                _, out = comp.sc_compress(x, alpha, 43, i)
+                _, out = op.compress_at(x, i)
                 err = out.reconstructed - x
                 assert float(np.dot(err, err)) <= alpha * float(np.dot(x, x))
 
     def test_decoder_replays_encoder(self):
         gen = message_stream(44, 0)
+        op = make_operator(OperatorConfig("sc", alpha=0.3, seed=45))
         for i in range(200):
             x = gen.standard_normal(10)
-            payload, out = comp.sc_compress(x, 0.3, 45, i)
-            rec = comp.sc_decompress(payload, 10, 0.3, 45, i)
+            payload, out = op.compress_at(x, i)
+            rec = decode_payload(op.config, payload, 10, i)
             assert np.array_equal(rec, out.reconstructed)
 
     def test_wrong_seed_breaks_contraction(self):
         gen = message_stream(46, 0)
         violations = 0
+        op = make_operator(OperatorConfig("sc", alpha=0.3, seed=47))
+        wrong = OperatorConfig("sc", alpha=0.3, seed=48)
         for i in range(50):
             x = gen.standard_normal(10)
-            payload, _ = comp.sc_compress(x, 0.3, 47, i)
-            rec = comp.sc_decompress(payload, 10, 0.3, 48, i)
+            payload, _ = op.compress_at(x, i)
+            rec = decode_payload(wrong, payload, 10, i)
             err = rec - x
             if float(np.dot(err, err)) > 0.3 * float(np.dot(x, x)):
                 violations += 1
@@ -233,15 +244,17 @@ class TestSphericalCompression:
         m = comp.sc_code(0.999, 3)[0]
         bits = []
         gen = message_stream(49, 0)
+        op = make_operator(OperatorConfig("sc", alpha=0.999, seed=50))
         for i in range(20):
-            payload, out = comp.sc_compress(gen.standard_normal(3), 0.999, 50, i)
+            payload, out = op.compress_at(gen.standard_normal(3), i)
             bits.append(out.bits)
         assert min(bits) == 31 + 1 + m  # T=1 message
 
     def test_zero_vector(self):
-        payload, out = comp.sc_compress(np.zeros(4), 0.5, 1, 0)
+        config = OperatorConfig("sc", alpha=0.5, seed=1)
+        payload, out = make_operator(config).compress_at(np.zeros(4), 0)
         assert out.bits == 31
-        assert np.array_equal(comp.sc_decompress(payload, 4, 0.5, 1, 0), np.zeros(4))
+        assert np.array_equal(decode_payload(config, payload, 4, 0), np.zeros(4))
 
     def test_give_up_at_tiny_cap(self):
         x = message_stream(51, 0).standard_normal(10)
@@ -252,7 +265,7 @@ class TestSphericalCompression:
         m, cap, _ = comp.sc_code(0.5, 3)
         fake = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(cap + 1, m)
         with pytest.raises(bitio.MalformedCodeError):
-            comp.sc_decompress(fake, 3, 0.5, 1, 0)
+            decode_payload(OperatorConfig("sc", alpha=0.5, seed=1), fake, 3, 0)
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_nonzero_norm_below_d2_is_malformed(self, d):
@@ -289,7 +302,7 @@ class TestSphericalCompression:
         shapes = self.record_draws(monkeypatch)
         m = comp.sc_code(alpha, d)[0]
         payload = bitio.write_float_magnitude(2.0) + bitio.golomb_rice_encode(T, m)
-        rec = comp.sc_decompress(payload, d, alpha, 7, 0)
+        rec = decode_payload(OperatorConfig("sc", alpha=alpha, seed=7), payload, d, 0)
         assert sum(rows for rows, _ in shapes) == T
         assert max(rows * cols for rows, cols in shapes) <= 1 << 22
         w = message_stream(7, 0).standard_normal((T, d))[-1]
@@ -301,16 +314,16 @@ class TestSphericalCompression:
         block = comp.sc_code(alpha, d)[2]
         shapes = self.record_draws(monkeypatch)
         gen = message_stream(55, 0)
+        op = make_operator(OperatorConfig("sc", alpha=alpha, seed=56))
         for i in range(20):
             shapes.clear()
-            payload, out = comp.sc_compress(gen.standard_normal(d), alpha, 56, i)
+            payload, out = op.compress_at(gen.standard_normal(d), i)
             drawn = sum(rows for rows, _ in shapes)
-            T = comp._read_payload(payload, comp._sc_read, d, alpha)[1]
+            T = comp._sc_fields(BitCursor(payload), d, alpha)[1]
             assert T <= drawn < T + block
             assert max(rows for rows, _ in shapes) <= block
             shapes.clear()
-            assert np.array_equal(comp.sc_decompress(payload, d, alpha, 56, i),
-                                  out.reconstructed)
+            assert np.array_equal(op.decompress(payload, d, i), out.reconstructed)
             assert sum(rows for rows, _ in shapes) == T
             w = message_stream(56, i).standard_normal((T, d))[-1]
             assert np.array_equal(out.reconstructed, comp._sc_vector(
@@ -325,14 +338,25 @@ class TestSphericalCompression:
             comp.sc_compress(x, alpha, 58, 0, trial_cap=1100)
         assert shapes == [(1024, d), (76, d)]
 
+    def test_trailing_bit_rejected_before_the_replay(self, monkeypatch):
+        # T = the cap is a valid count, whose replay would draw cap rows
+        d, alpha = 3, 0.5
+        m, cap, _ = comp.sc_code(alpha, d)
+        payload = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(cap, m)
+        shapes = self.record_draws(monkeypatch)
+        with pytest.raises(bitio.DecodeError, match="1 trailing bits"):
+            decode_payload(OperatorConfig("sc", alpha=alpha, seed=1), payload + BitString([0]), d)
+        assert sum(rows for rows, _ in shapes) == 0
+
     def test_payload_sandwich_high_dimension(self):
         # feasible d=50 setting: alpha=0.98 keeps 1/P small
         alpha, d, n = 0.98, 50, 400
         p = cap_probability(CapParams(alpha, d))
         gen = message_stream(53, 0)
         bits = np.empty(n)
+        op = make_operator(OperatorConfig("sc", alpha=alpha, seed=54))
         for i in range(n):
-            _, out = comp.sc_compress(gen.standard_normal(d), alpha, 54, i)
+            _, out = op.compress_at(gen.standard_normal(d), i)
             bits[i] = out.bits - 31
         lower = -math.log2(p)
         assert lower <= bits.mean() < lower + 3.0
@@ -370,57 +394,60 @@ class TestBaselines:
             decode_payload(config, payload, 1)
 
     def test_topk_example(self):
-        payload, out = comp.topk_compress(np.array([1.0, -3.0, 2.0]), 1)
+        config = OperatorConfig("topk", k=1)
+        payload, out = make_operator(config).compress_at(np.array([1.0, -3.0, 2.0]), 0)
         assert np.array_equal(out.reconstructed, [0.0, -3.0, 0.0])
         assert out.distortion == pytest.approx(5.0 / 14.0)
         assert out.bits == 32 + bitio.subset_code_width(3, 1)
-        assert np.array_equal(comp.topk_decompress(payload, 3, 1),
-                              out.reconstructed)
+        assert np.array_equal(decode_payload(config, payload, 3), out.reconstructed)
 
     def test_topk_deterministic_tie_break(self):
-        _, out = comp.topk_compress(np.array([2.0, -2.0, 1.0]), 1)
+        _, out = make_operator(OperatorConfig("topk", k=1)).compress_at(
+            np.array([2.0, -2.0, 1.0]), 0)
         assert np.array_equal(out.reconstructed, [2.0, 0.0, 0.0])
 
     def test_topk_full_k_is_float32_identity(self):
         x = np.array([0.1, -7.25, 3.3])
-        _, out = comp.topk_compress(x, 3)
+        _, out = make_operator(OperatorConfig("topk", k=3)).compress_at(x, 0)
         assert np.array_equal(out.reconstructed, x.astype(np.float32))
 
     def test_random_sparsify_unbiased(self):
         d, k, n = 10, 3, 20_000
         x = message_stream(8, 0).standard_normal(d)
         recs = np.empty((n, d))
+        op = make_operator(OperatorConfig("randsparse", k=k, seed=60))
         for i in range(n):
-            _, out = comp.random_sparsify(x, k, message_stream(60, i))
+            _, out = op.compress_at(x, i)
             recs[i] = out.reconstructed
         se = recs.std(axis=0, ddof=1) / math.sqrt(n)
         assert (np.abs(recs.mean(axis=0) - x) <= 4.0 * se).all()
 
     def test_random_sparsify_round_trip(self):
         x = message_stream(10, 0).standard_normal(12)
-        payload, out = comp.random_sparsify(x, 4, message_stream(61, 5))
-        assert np.array_equal(comp.topk_decompress(payload, 12, 4),
-                              out.reconstructed)
+        config = OperatorConfig("randsparse", k=4, seed=61)
+        payload, out = make_operator(config).compress_at(x, 5)
+        assert np.array_equal(decode_payload(config, payload, 12, 5), out.reconstructed)
         assert out.bits == 32 * 4 + bitio.subset_code_width(12, 4)
 
     def test_dither_values_and_bits(self):
         x = message_stream(11, 0).standard_normal(25)
         s = 5
-        payload, out = comp.std_dither(x, s, message_stream(62, 0))
+        config = OperatorConfig("dither", levels=s, seed=62)
+        payload, out = make_operator(config).compress_at(x, 0)
         norm32 = float(np.float32(np.linalg.norm(x)))
         levels = np.rint(np.abs(out.reconstructed) / norm32 * s).astype(int)
         assert (levels <= s).all()
         nnz = int((levels > 0).sum())
         assert out.bits == 31 + 25 + int(levels.sum()) + nnz
-        assert np.array_equal(comp.std_dither_decompress(payload, 25, s),
-                              out.reconstructed)
+        assert np.array_equal(decode_payload(config, payload, 25), out.reconstructed)
 
     def test_dither_unbiased(self):
         d, s, n = 10, 4, 20_000
         x = message_stream(12, 0).standard_normal(d)
         recs = np.empty((n, d))
+        op = make_operator(OperatorConfig("dither", levels=s, seed=63))
         for i in range(n):
-            _, out = comp.std_dither(x, s, message_stream(63, i))
+            _, out = op.compress_at(x, i)
             recs[i] = out.reconstructed
         se = recs.std(axis=0, ddof=1) / math.sqrt(n)
         assert (np.abs(recs.mean(axis=0) - x) <= 4.0 * se).all()
@@ -432,30 +459,31 @@ class TestBaselines:
         gen = message_stream(13, 0)
         total = 0
         n = 20
+        op = make_operator(OperatorConfig("dither", levels=s, seed=64))
         for i in range(n):
             x = gen.standard_normal(d)
-            _, out = comp.std_dither(x, s, message_stream(64, i))
+            _, out = op.compress_at(x, i)
             total += out.bits
         assert total / n <= 2.8 * d + 64
         assert total / n >= 1.5 * d
 
     def test_ternary_is_single_level(self):
         x = message_stream(14, 0).standard_normal(8)
-        payload, out = comp.ternary(x, message_stream(65, 0))
+        config = OperatorConfig("ternary", seed=65)
+        payload, out = make_operator(config).compress_at(x, 0)
         norm32 = float(np.float32(np.linalg.norm(x)))
         vals = set(np.round(out.reconstructed / norm32, 9).tolist())
         assert vals <= {-1.0, 0.0, 1.0}
-        assert np.array_equal(comp.std_dither_decompress(payload, 8, 1),
-                              out.reconstructed)
+        assert np.array_equal(decode_payload(config, payload, 8), out.reconstructed)
 
     def test_natural_nine_bits_per_coordinate(self):
         gen = message_stream(15, 0)
+        op = make_operator(OperatorConfig("natural", seed=66))
         for d in (1, 7, 64):
             x = gen.standard_normal(d) * 100
-            payload, out = comp.natural_compress(x, message_stream(66, d))
+            payload, out = op.compress_at(x, d)
             assert out.bits == 9 * d
-            assert np.array_equal(comp.natural_decompress(payload, d),
-                                  out.reconstructed)
+            assert np.array_equal(op.decompress(payload, d, d), out.reconstructed)
             nz = x != 0
             ratio = np.abs(out.reconstructed[nz]) / np.abs(x[nz])
             assert (ratio >= 0.5 - 1e-9).all() and (ratio <= 2.0 + 1e-9).all()
@@ -467,8 +495,9 @@ class TestBaselines:
         x = message_stream(16, 0).standard_normal(d)
         recs = np.empty((n, d))
         err2 = np.empty(n)
+        op = make_operator(OperatorConfig("natural", seed=67))
         for i in range(n):
-            _, out = comp.natural_compress(x, message_stream(67, i))
+            _, out = op.compress_at(x, i)
             recs[i] = out.reconstructed
             e = out.reconstructed - x
             err2[i] = np.dot(e, e)
@@ -479,7 +508,7 @@ class TestBaselines:
 
     def test_natural_zero_coordinates(self):
         x = np.array([0.0, 2.0, 0.0])
-        payload, out = comp.natural_compress(x, message_stream(68, 0))
+        payload, out = make_operator(OperatorConfig("natural", seed=68)).compress_at(x, 0)
         assert out.reconstructed[0] == 0.0 and out.reconstructed[2] == 0.0
         assert out.reconstructed[1] == 2.0  # exact power of two is kept
 
@@ -487,17 +516,18 @@ class TestBaselines:
         # below 2^-126 the exponent field rounds between 0 and 2^-126
         x = np.array([1e-40, -3e-39])
         n = 4000
-        recs = np.array([comp.natural_compress(x, message_stream(69, i))[1].reconstructed
-                         for i in range(n)])
+        op = make_operator(OperatorConfig("natural", seed=69))
+        recs = np.array([op.compress_at(x, i)[1].reconstructed for i in range(n)])
         assert set(np.abs(recs).ravel()) <= {0.0, 2.0 ** -126}
         se = recs.std(axis=0, ddof=1) / math.sqrt(n)
         assert (np.abs(recs.mean(axis=0) - x) <= 4.0 * se).all()
 
     def test_natural_exponent_range(self):
-        _, out = comp.natural_compress([2.0 ** 127, 2.0 ** -126], message_stream(70, 0))
+        op = make_operator(OperatorConfig("natural", seed=70))
+        _, out = op.compress_at([2.0 ** 127, 2.0 ** -126], 0)
         assert list(out.reconstructed) == [2.0 ** 127, 2.0 ** -126]
         with pytest.raises(ValueError):
-            comp.natural_compress([3e38], message_stream(70, 1))
+            op.compress_at([3e38], 1)
 
     def test_natural_matches_the_bit_matrix_reference(self):
         # the exponent as lower + (u < (|x| - a)/a) + 127 with a = 2^lower,
@@ -519,18 +549,19 @@ class TestBaselines:
                  np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0), 5e-324, 1e-40,
                  np.nextafter(1.0, 0.0), np.nextafter(2.0, 4.0), 3.0, 0.75]
         gen = message_stream(71, 0)
+        op = make_operator(OperatorConfig("natural", seed=72))
         for d in (1, 7, 8, 9, 16, 1000):
             x = gen.standard_normal(d) * 2.0 ** gen.integers(-140, 120, size=d)
             x[:len(edges)] = edges[:d]
-            payload, out = comp.natural_compress(x, message_stream(72, d))
+            payload, out = op.compress_at(x, d)
             assert payload == reference(x, message_stream(72, d).random(d))
-            assert np.array_equal(comp.natural_decompress(payload, d), out.reconstructed)
+            assert np.array_equal(op.decompress(payload, d, d), out.reconstructed)
 
     def test_identity(self):
         x = np.array([1.5, -2.25, 3.1])
-        payload, out = comp.identity_compress(x)
+        payload, out = make_operator(CONFIGS["identity"]).compress_at(x, 0)
         assert out.bits == 96
-        assert np.array_equal(comp.identity_decompress(payload, 3),
+        assert np.array_equal(decode_payload(CONFIGS["identity"], payload, 3),
                               out.reconstructed)
         assert out.reconstructed == pytest.approx(x, rel=1e-6)
 
@@ -563,7 +594,7 @@ def test_dense_codecs_make_no_vector_sized_temporaries(kind):
 class TestContractWrap:
     def test_identity_unchanged(self):
         x = np.array([1.0, 2.0])
-        payload, out = comp.identity_compress(x)
+        payload, out = make_operator(CONFIGS["identity"]).compress_at(x, 0)
         wrapped_payload, wrapped = make_operator(
             OperatorConfig("identity", wrap_omega=0.0)).compress_at(x, 0)
         assert wrapped_payload == payload
@@ -618,6 +649,9 @@ class TestOperator:
             OperatorConfig("sc", alpha=1.5)
         with pytest.raises(ValueError):
             OperatorConfig("nope")
+        # the writers do not check the config again
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            OperatorConfig("dsd", nu=0.1).nu = 0.0
 
     def test_labels(self):
         assert OperatorConfig("dsd", nu=0.1).label() == "dsd(nu=0.1)"
@@ -673,6 +707,17 @@ class TestOperator:
                     BitString.from_bytes(payload.to_bytes(), len(payload) - 1)):
             with pytest.raises(bitio.DecodeError):
                 decode_payload(config, bad, d, message_index=2)
+
+    @pytest.mark.parametrize("kind", CODECS)
+    def test_rejects_negative_message_index(self, kind):
+        # deterministic kinds draw no stream, so the index is checked apart from it
+        x = message_stream(23, 0).standard_normal(24)
+        op = make_operator(CONFIGS[kind])
+        payload, _ = op.compress_at(x, 0)
+        for step in (lambda: op.compress_at(x, -1), lambda: op.decompress(payload, 24, -1),
+                     lambda: decode_payload(op.config, payload, 24, -5)):
+            with pytest.raises(ValueError, match="message_index must be >= 0"):
+                step()
 
     @pytest.mark.parametrize("kind", ["dsd", "rsd", "topk", "randsparse"])
     def test_out_of_range_rank_is_malformed(self, kind):

@@ -1,14 +1,16 @@
 """The paper scripts' command lines parse under the current CLI, and
-the binomial grid script runs.
+the binomial and direct-bits grid scripts run.
 
 Each paper script is loaded by path with its `main` replaced by a
 recorder, so the check takes milliseconds instead of a full benchmark
-run; the grid script times one small cell.
+run; each grid script times one small cell.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradcodec import cli
@@ -50,3 +52,13 @@ def test_binom_grid_cell(capsys):
     assert len(rows) == 3
     assert rows[2].startswith("| 300 | 150 | 296 | 0.987 | ")
     assert rows[2].endswith(" | math.comb |")
+
+
+def test_direct_bits_grid_cell():
+    # one cell of the grid: it reaches into bitio._rank and _unrank by keyword
+    module = load("direct_bits_grid")
+    d, n0 = 1024, 32
+    positions = sorted(np.random.default_rng(0).choice(d, size=n0, replace=False).tolist())
+    times = module.cell_ms(positions, d, n0, number=1, rounds=1)
+    assert len(times) == len(module.THRESHOLDS)
+    assert all(math.isfinite(t) and t > 0.0 for t in times)
