@@ -32,7 +32,7 @@ import numpy as np
 from . import bitio, bounds
 from .bitio import BitCursor, BitString
 from .geometry import CapParams, cap_probability
-from .rng import message_stream
+from .rng import block_rows, message_stream
 
 
 class GiveUpError(RuntimeError):
@@ -206,8 +206,12 @@ def sc_code(alpha, d):
 
     A block call costs about as much as drawing and scanning 512/d more
     rows, and the encoder overshoots row T by half a block on average,
-    so sqrt(2 (1/P) 512/d) rows balance the two; clamped to
-    [8, _sc_largest_block(d)] rows."""
+    so sqrt(2 (1/P) 512/d) rows balance the two; at least 8 rows, and
+    at most rng.block_rows(d), the rows of rng.BLOCK_VALUES = 2^15
+    values (one row where d is longer).  The decoder draws blocks of
+    that same largest size, so neither side's working memory grows with
+    1/P or T.  README's cap grid measured a block call nearer 900 values
+    than 512; B, which would grow about 1.3x, is left as it is."""
     p = cap_probability(CapParams(alpha, d))
     m = bitio.golomb_rice_params(p)
     try:
@@ -215,24 +219,24 @@ def sc_code(alpha, d):
     except OverflowError:
         raise ValueError(f"no trial budget for cap probability {p}") from None
     block = math.ceil(32.0 * math.sqrt(1.0 / (p * d)))  # 1/(p d) <= 1/p, finite
-    return m, cap, max(8, min(block, _sc_largest_block(d)))
-
-
-def _sc_largest_block(d):
-    """Rows in the largest candidate block: 2^22 values and 2^16 rows at
-    most, but at least 8 rows."""
-    return max(8, min(1 << 16, (1 << 22) // d))
+    return m, cap, min(max(8, block), block_rows(d))
 
 
 def _sc_candidates(seed, message_index, d, rows, block):
     """The first `rows` keyed Gaussian candidates of length d, as (index
-    of the first row, the next `block` rows or fewer).  The draws are
-    split-invariant, so every block size yields the same rows: the
-    encoder scans sc_code's blocks to its trial cap, the decoder reads
-    the largest blocks to row T."""
+    of the first row, the next `block` rows or fewer).  Every block is
+    drawn into one buffer of min(block, rows) rows (none for rows <= 0),
+    so a yielded block is overwritten by the next one: a caller copies
+    the row it keeps, as _sc_vector does.  The draws are split-invariant,
+    so every block size yields the same rows: the encoder scans
+    sc_code's blocks to its trial cap, the decoder reads blocks of
+    rng.block_rows(d) rows to row T."""
     rng = message_stream(seed, message_index)
+    buf = np.empty((max(0, min(block, rows)), d))
     for first in range(0, rows, block):
-        yield first, rng.standard_normal((min(block, rows - first), d))
+        w = buf[:rows - first]
+        rng.standard_normal(out=w)
+        yield first, w
 
 
 def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
@@ -258,7 +262,7 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     base2 = scale * scale + norm * norm
 
     for first, w in _sc_candidates(seed, message_index, d, cap, block):
-        norms = np.linalg.norm(w, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", w, w))  # no block-sized temporary
         if not (norms > 0.0).all():
             raise ArithmeticError("degenerate zero-norm Gaussian draw")
         # prefilter: ||scale w/|w| - x||^2 = scale^2 + ||x||^2 - 2 scale <w,x>/|w|,
@@ -290,12 +294,14 @@ def _sc_fields(cursor, d, alpha):
 
 
 def _sc_read(cursor, d, alpha, seed, message_index):
-    """Replay the encoder's keyed sample stream for T trials and rescale."""
+    """Replay the encoder's keyed sample stream for T trials and rescale.
+    The replay holds one block of rng.block_rows(d) rows whatever T is;
+    its time grows with T."""
     norm, T = _sc_fields(cursor, d, alpha)
     _check_end(cursor)  # before the replay, whose cost grows with T
     if norm == 0.0:
         return np.zeros(d)
-    for _, w in _sc_candidates(seed, message_index, d, T, _sc_largest_block(d)):
+    for _, w in _sc_candidates(seed, message_index, d, T, block_rows(d)):
         pass  # the last block ends at row T
     return _sc_vector(norm, alpha, w[-1])
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import block_rows
+
 _BETACF_EPS = 1e-15
 _BETACF_TINY = 1e-300
 _BETACF_MAX_ITER = 500
@@ -130,23 +132,26 @@ def sample_unit_sphere_block(d, count, rng: np.random.Generator):
         v[bad] = rng.standard_normal((int(bad.sum()), d))
         norms[bad] = np.linalg.norm(v[bad], axis=1)
         bad = norms == 0.0
-    return v / norms[:, None]
+    v /= norms[:, None]
+    return v
 
 
 def mc_cap_probability(params: CapParams, trials, rng: np.random.Generator):
     """Monte-Carlo estimate of cap_probability.
 
     Counts uniform unit samples x with ||x - c||^2 <= alpha for the
-    optimal center c = sqrt(1-alpha) e1.  Returns (estimate, standard
-    error) with the standard error sqrt(p_hat (1-p_hat) / trials).
+    optimal center c = sqrt(1-alpha) e1, drawn in blocks of
+    rng.block_rows(d) rows.  Returns (estimate, standard error) with the
+    standard error sqrt(p_hat (1-p_hat) / trials).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     center = math.sqrt(1.0 - params.alpha)
+    rows = block_rows(params.d)
     hits = 0
     left = trials
     while left > 0:
-        n = min(1 << 15, left)
+        n = min(rows, left)
         x = sample_unit_sphere_block(params.d, n, rng)
         x[:, 0] -= center
         dist2 = np.einsum("ij,ij->i", x, x)

@@ -281,30 +281,30 @@ class TestSphericalCompression:
 
     @staticmethod
     def record_draws(monkeypatch):
-        """The (rows, d) shape of every Gaussian block the codec draws."""
+        """The (rows, d) shape of every Gaussian block the codec draws,
+        whether it is drawn as a new array or into `out`."""
         shapes = []
 
         class Recording:
             def __init__(self, rng):
                 self.rng = rng
 
-            def standard_normal(self, shape):
-                shapes.append(shape)
-                return self.rng.standard_normal(shape)
+            def standard_normal(self, shape=None, out=None):
+                shapes.append(shape if out is None else out.shape)
+                return self.rng.standard_normal(shape, out=out)
 
         monkeypatch.setattr(comp, "message_stream",
                             lambda seed, i: Recording(message_stream(seed, i)))
         return shapes
 
     def test_replay_draws_exactly_t_rows(self, monkeypatch):
-        # at d=4096 a draw holds at most 2^22 values, 1024 rows
+        # at d=4096 a draw holds at most 2^15 values, 8 rows
         d, alpha, T = 4096, 0.9, 1100
         shapes = self.record_draws(monkeypatch)
         m = comp.sc_code(alpha, d)[0]
         payload = bitio.write_float_magnitude(2.0) + bitio.golomb_rice_encode(T, m)
         rec = decode_payload(OperatorConfig("sc", alpha=alpha, seed=7), payload, d, 0)
-        assert sum(rows for rows, _ in shapes) == T
-        assert max(rows * cols for rows, cols in shapes) <= 1 << 22
+        assert shapes == [(8, d)] * 137 + [(4, d)]
         w = message_stream(7, 0).standard_normal((T, d))[-1]
         assert np.array_equal(rec, comp._sc_vector(2.0, alpha, w))
 
@@ -329,14 +329,46 @@ class TestSphericalCompression:
             assert np.array_equal(out.reconstructed, comp._sc_vector(
                 bitio.read_float_magnitude(BitCursor(payload)), alpha, w))
 
-    def test_encoder_draws_at_most_2_22_values(self, monkeypatch):
-        # (0.9, 4096): 1/P near 2.5e95, so the block is the largest, 1024 rows
+    def test_encoder_draws_at_most_2_15_values(self, monkeypatch):
+        # (0.9, 4096): 1/P near 2.5e95, so the block is the largest, 8 rows
         d, alpha = 4096, 0.9
         shapes = self.record_draws(monkeypatch)
         x = message_stream(57, 0).standard_normal(d)
         with pytest.raises(GiveUpError):
             comp.sc_compress(x, alpha, 58, 0, trial_cap=1100)
-        assert shapes == [(1024, d), (76, d)]
+        assert shapes == [(8, d)] * 137 + [(4, d)]
+
+    @pytest.mark.parametrize("trial_cap", [0, -3])
+    def test_give_up_at_no_trials(self, monkeypatch, trial_cap):
+        shapes = self.record_draws(monkeypatch)
+        with pytest.raises(GiveUpError):
+            comp.sc_compress(np.ones(10), 0.3, 52, 0, trial_cap=trial_cap)
+        assert shapes == []
+
+    def test_working_memory_is_one_capped_block(self):
+        # a 2^15-value block is 256 KiB; the decoder replays T near the cap
+        # at (0.5, 20), 1638 rows a block, and the encoder gives up after
+        # 1100 rows at (0.9, 4096), 8 rows a block.  Besides the block,
+        # each side holds arrays of one value a row and the decoded vector.
+        block_bytes = 8 * (1 << 15)
+        d, alpha = 20, 0.5
+        m, cap, _ = comp.sc_code(alpha, d)
+        T = cap - 1
+        payload = bitio.write_float_magnitude(2.0) + bitio.golomb_rice_encode(T, m)
+        config = OperatorConfig("sc", alpha=alpha, seed=7)
+        rec, decode_peak = traced_peak(lambda: decode_payload(config, payload, d, 0))
+        w = message_stream(7, 0).standard_normal((T, d))[-1]
+        assert np.array_equal(rec, comp._sc_vector(2.0, alpha, w))
+        assert decode_peak <= block_bytes + (16 << 10)
+
+        d = 4096
+        x = message_stream(57, 0).standard_normal(d)
+
+        def give_up():
+            with pytest.raises(GiveUpError):
+                comp.sc_compress(x, 0.9, 58, 0, trial_cap=1100)
+        _, encode_peak = traced_peak(give_up)
+        assert encode_peak <= block_bytes + (16 << 10)
 
     def test_trailing_bit_rejected_before_the_replay(self, monkeypatch):
         # T = the cap is a valid count, whose replay would draw cap rows

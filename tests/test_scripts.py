@@ -1,5 +1,5 @@
 """The paper scripts' command lines parse under the current CLI, and
-the binomial and direct-bits grid scripts run.
+the binomial, direct-bits and SC block grid scripts run.
 
 Each paper script is loaded by path with its `main` replaced by a
 recorder, so the check takes milliseconds instead of a full benchmark
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcodec import cli
+from gradcodec import cli, compressors, rng
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -62,3 +62,15 @@ def test_direct_bits_grid_cell():
     times = module.cell_ms(positions, d, n0, number=1, rounds=1)
     assert len(times) == len(module.THRESHOLDS)
     assert all(math.isfinite(t) and t > 0.0 for t in times)
+
+
+def test_sc_block_grid_cell():
+    # one cell of each table; the grid sets rng.BLOCK_VALUES and puts it back
+    module = load("sc_block_grid")
+    default, block = rng.BLOCK_VALUES, compressors.sc_code(0.01, 200)[2]
+    times = module.cell_ms(0.5, 3, messages=4, rounds=1)
+    encode_ns, decode_ns = module.scan_ns(200, rounds=1)
+    for row in (times, encode_ns, decode_ns):
+        assert len(row) == len(module.CAPS)
+        assert all(math.isfinite(t) and t > 0.0 for t in row)
+    assert (rng.BLOCK_VALUES, compressors.sc_code(0.01, 200)[2]) == (default, block)
