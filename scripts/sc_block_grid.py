@@ -2,8 +2,8 @@
 
 For each (alpha, d) cell, a fixed list of messages is encoded with
 `Operator.compress_at` and decoded with `Operator.decompress` once per
-value of `rng.BLOCK_VALUES`, the most Gaussian values one candidate
-block holds (`compressors.sc_code`'s cache is cleared at each change).
+value of `bitio.BLOCK`, the most Gaussian values one candidate block
+holds (`compressors.sc_code`'s cache is cleared at each change).
 Prints one Markdown row per cell: 1/P, the messages per round, and the
 encode + decode ms per message at each cap, the best of 5 rounds that
 each time every cap in turn.  Every cap must give the same payloads and
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from gradcodec import bitio, compressors, rng
+from gradcodec import bitio, compressors
 from gradcodec.compressors import GiveUpError, OperatorConfig, decode_payload, make_operator
 from gradcodec.geometry import CapParams, cap_probability
 
@@ -34,7 +34,7 @@ SCAN_VALUES = 1 << 20
 
 
 def at_cap(values):
-    rng.BLOCK_VALUES = values
+    bitio.BLOCK = values
     compressors.sc_code.cache_clear()
 
 
@@ -54,7 +54,7 @@ def cell_ms(alpha, d, messages, rounds=5):
     gen = np.random.default_rng(0)
     xs = [gen.standard_normal(d) for _ in range(messages)]
     op = make_operator(OperatorConfig("sc", alpha=alpha, seed=1))
-    default = rng.BLOCK_VALUES
+    default = bitio.BLOCK
     best = [math.inf] * len(CAPS)
     reference = None
     try:
@@ -81,7 +81,7 @@ def scan_ns(d, rounds=15):
     config = OperatorConfig("sc", alpha=0.01, seed=1)
     payload = bitio.write_float_magnitude(1.0) + bitio.golomb_rice_encode(
         rows, compressors.sc_code(0.01, d)[0])
-    default = rng.BLOCK_VALUES
+    default = bitio.BLOCK
     best = [[math.inf] * len(CAPS) for _ in range(2)]
     try:
         for _ in range(rounds):

@@ -83,7 +83,7 @@ class BitString:
         return self._buf.tobytes()
 
     def to01(self):
-        """The bits as a '0'/'1' string, as __repr__ shows them."""
+        """The bits as a '0'/'1' string; the tests read bits through it."""
         return format(self._int(), f"0{self._len}b") if self._len else ""
 
     def __add__(self, other):
@@ -156,10 +156,16 @@ class BitCursor:
         return (span[:-1] << s) | (span[1:] >> (8 - s))
 
 
-# Coordinates per block: the dense codecs and the unary block code walk
-# their input in blocks of this many values, or of bits, so that no
-# step makes a temporary the size of the whole input.
-BLOCK = 1 << 16
+# The most values one blocked step holds, so that none makes a temporary
+# the size of its input: coordinates of a dense codec, bits unpacked by
+# the unary reader, Gaussian values of one draw (256 KiB of float64)
+# unless a row is longer.  Chosen from scripts/sc_block_grid.py.
+BLOCK = 1 << 15
+
+
+def block_rows(d):
+    """Rows of length d in one blocked draw: BLOCK // d, at least one."""
+    return max(1, BLOCK // d)
 
 
 def write_unary_block(values) -> BitString:
@@ -187,11 +193,12 @@ def write_unary_block(values) -> BitString:
     return BitString._wrap(np.concatenate(chunks) if len(chunks) > 1 else packed, pos)
 
 
-def read_unary_block(cursor: BitCursor, count):
-    """Read `count` consecutive unary codes as an int64 array.
-
-    The bits are unpacked BLOCK at a time, up to the count-th terminator."""
-    if count > cursor.remaining():  # every code takes at least one bit
+def read_unary_block(cursor: BitCursor, count, stop=0):
+    """Read `count` consecutive runs that each end in a `stop` bit, as an
+    int64 array of run lengths, stop bit included: unary codes for
+    stop = 0, a Golomb-Rice quotient plus one for stop = 1.  The bits are
+    unpacked BLOCK at a time, up to the count-th stop bit."""
+    if count > cursor.remaining():  # every run takes at least one bit
         raise TruncatedStreamError(
             f"expected {count} unary codes at offset {cursor.pos}, "
             f"{cursor.remaining()} bits left"
@@ -199,7 +206,7 @@ def read_unary_block(cursor: BitCursor, count):
     values = np.empty(count, dtype=np.int64)
     filled = 0
     start = cursor.pos  # the first bit not yet unpacked
-    last = start - 1  # the last terminator read
+    last = start - 1  # the last stop bit read
     while filled < count:
         n = min(cursor._len - start, BLOCK)
         if n <= 0:
@@ -208,9 +215,9 @@ def read_unary_block(cursor: BitCursor, count):
             )
         s = start & 7
         bits = np.unpackbits(cursor._buf[start >> 3:(start + n + 7) >> 3], count=s + n)[s:]
-        ends = np.flatnonzero(bits == 0)[:count - filled]
+        ends = np.flatnonzero(bits == stop)[:count - filled]
         if ends.size:
-            # each code's length: its terminator minus the one before
+            # each run's length: its stop bit minus the one before
             seg = values[filled:filled + ends.size]
             seg[0] = start + int(ends[0]) - last
             np.subtract(ends[1:], ends[:-1], out=seg[1:])
@@ -261,28 +268,11 @@ def golomb_rice_encode(value, m) -> BitString:
 
 
 def golomb_rice_decode(cursor: BitCursor, m):
-    """Inverse of golomb_rice_encode.  The quotient's terminating one is
-    looked for in the packed bytes from the cursor on, BLOCK bytes at a
-    time; the bits past the end are zero padding, so none is found there."""
+    """Inverse of golomb_rice_encode; the quotient is read as one
+    read_unary_block run that ends in a one."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    buf = cursor._buf
-    # b, byte: the first nonzero byte from the cursor on, bits before it cleared
-    b = cursor.pos >> 3
-    byte = int(buf[b]) & (0xFF >> (cursor.pos & 7)) if b < buf.size else 0
-    start = b + 1
-    while not byte and start < buf.size:
-        nonzero = buf[start:start + BLOCK] != 0
-        b = start + int(nonzero.argmax())
-        byte = int(buf[b])
-        start += BLOCK
-    if not byte:
-        raise TruncatedStreamError(
-            f"Golomb-Rice quotient not terminated (offset {cursor.pos})"
-        )
-    one = 8 * b + 8 - byte.bit_length()
-    q = one - cursor.pos
-    cursor.pos = one + 1
+    q = int(read_unary_block(cursor, 1, stop=1)[0]) - 1
     r = cursor.read_bits(m)
     value = (q << m) | r
     if value < 1:

@@ -50,11 +50,9 @@ def _add_operator_flags(p):
                    help="base seed (default: GRADCODEC_SEED or 0)")
 
 
-def _operator_config(args, require_op=True):
+def _operator_config(args):
     if args.op is None:
-        if require_op:
-            raise UsageError("--op is required")
-        return None
+        raise UsageError("--op is required")
     return OperatorConfig(kind=args.op, wrap_omega=args.wrap_omega, seed=args.seed,
                           **{name: getattr(args, name) for name in PARAMS})
 
@@ -148,7 +146,10 @@ def _parse_grid(text, name):
 
 def cmd_bounds(args):
     alphas = _parse_grid(args.alpha_grid, "alpha")
-    ds = [int(v) for v in _parse_grid(args.d_grid, "d")]
+    ds = _parse_grid(args.d_grid, "d")
+    if not all(v.is_integer() for v in ds):
+        raise UsageError(f"d grid {args.d_grid!r} holds a non-integer")
+    ds = [int(v) for v in ds]
     sep = "\t" if args.format == "table" else ","
     header = sep.join([
         "alpha", "d", "eq1_lower", "avg_lower", "bstar", "bstar_band",

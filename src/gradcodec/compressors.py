@@ -32,7 +32,7 @@ import numpy as np
 from . import bitio, bounds
 from .bitio import BitCursor, BitString
 from .geometry import CapParams, cap_probability
-from .rng import block_rows, message_stream
+from .rng import message_stream
 
 
 class GiveUpError(RuntimeError):
@@ -207,7 +207,7 @@ def sc_code(alpha, d):
     A block call costs about as much as drawing and scanning 512/d more
     rows, and the encoder overshoots row T by half a block on average,
     so sqrt(2 (1/P) 512/d) rows balance the two; at least 8 rows, and
-    at most rng.block_rows(d), the rows of rng.BLOCK_VALUES = 2^15
+    at most bitio.block_rows(d), the rows of bitio.BLOCK = 2^15
     values (one row where d is longer).  The decoder draws blocks of
     that same largest size, so neither side's working memory grows with
     1/P or T.  README's cap grid measured a block call nearer 900 values
@@ -219,7 +219,7 @@ def sc_code(alpha, d):
     except OverflowError:
         raise ValueError(f"no trial budget for cap probability {p}") from None
     block = math.ceil(32.0 * math.sqrt(1.0 / (p * d)))  # 1/(p d) <= 1/p, finite
-    return m, cap, min(max(8, block), block_rows(d))
+    return m, cap, min(max(8, block), bitio.block_rows(d))
 
 
 def _sc_candidates(seed, message_index, d, rows, block):
@@ -230,7 +230,7 @@ def _sc_candidates(seed, message_index, d, rows, block):
     the row it keeps, as _sc_vector does.  The draws are split-invariant,
     so every block size yields the same rows: the encoder scans
     sc_code's blocks to its trial cap, the decoder reads blocks of
-    rng.block_rows(d) rows to row T."""
+    bitio.block_rows(d) rows to row T."""
     rng = message_stream(seed, message_index)
     buf = np.empty((max(0, min(block, rows)), d))
     for first in range(0, rows, block):
@@ -295,13 +295,13 @@ def _sc_fields(cursor, d, alpha):
 
 def _sc_read(cursor, d, alpha, seed, message_index):
     """Replay the encoder's keyed sample stream for T trials and rescale.
-    The replay holds one block of rng.block_rows(d) rows whatever T is;
+    The replay holds one block of bitio.block_rows(d) rows whatever T is;
     its time grows with T."""
     norm, T = _sc_fields(cursor, d, alpha)
     _check_end(cursor)  # before the replay, whose cost grows with T
     if norm == 0.0:
         return np.zeros(d)
-    for _, w in _sc_candidates(seed, message_index, d, T, block_rows(d)):
+    for _, w in _sc_candidates(seed, message_index, d, T, bitio.block_rows(d)):
         pass  # the last block ends at row T
     return _sc_vector(norm, alpha, w[-1])
 

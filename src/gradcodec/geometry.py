@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import block_rows
+from .bitio import block_rows
 
 _BETACF_EPS = 1e-15
 _BETACF_TINY = 1e-300
@@ -141,7 +141,7 @@ def mc_cap_probability(params: CapParams, trials, rng: np.random.Generator):
 
     Counts uniform unit samples x with ||x - c||^2 <= alpha for the
     optimal center c = sqrt(1-alpha) e1, drawn in blocks of
-    rng.block_rows(d) rows.  Returns (estimate, standard error) with the
+    bitio.block_rows(d) rows.  Returns (estimate, standard error) with the
     standard error sqrt(p_hat (1-p_hat) / trials).
     """
     if trials < 1:

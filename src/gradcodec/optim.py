@@ -273,8 +273,13 @@ def sweep_config(family, param, d, seed=0):
 
 def theoretical_ratio(family, param):
     """Iteration inflation predicted for the family: 1/(1-alpha) for
-    contractive operators, 1+omega for unbiased ones."""
-    return 1.0 / (1.0 - param) if _family(family).axis == "alpha" else 1.0 + param
+    contractive operators, 1+omega for unbiased ones; ValueError for
+    alpha >= 1, where 1/(1-alpha) is infinite or negative."""
+    if _family(family).axis == "omega":
+        return 1.0 + param
+    if not param < 1.0:
+        raise ValueError(f"{family} sweep needs alpha < 1, got {param}")
+    return 1.0 / (1.0 - param)
 
 
 def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
@@ -285,18 +290,22 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
     Randomized families may average over `repeats` independent seeds.
     Returns (rows, gd_iterations) where each row is a dict with the
     parameter, mean iterations, ratio, total bits, predicted ratio,
-    and per-row status.
+    and per-row status.  ValueError, before any grid point runs, where
+    the baseline takes no step (eps >= 1 or x* = 0): no ratio exists.
     """
     _family(family)
+    predicted = [theoretical_ratio(family, param) for param in grid]
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     L = smoothness(problem)
     x_star = minimizer(problem)
     base = cgd_run(problem, OperatorConfig("identity"), eps=eps, x_star=x_star, L=L)
     gd_iters = base.total_iterations
+    if gd_iters == 0:
+        raise ValueError(f"the uncompressed baseline meets eps={eps} at step 0")
 
     rows = []
-    for param in grid:
+    for param, predicted_ratio in zip(grid, predicted):
         iters = []
         bits = []
         statuses = []
@@ -314,7 +323,7 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
             "iterations": mean_iters,
             "ratio": mean_iters / gd_iters if ok else math.nan,
             "total_bits": float(np.mean(bits)),
-            "predicted_ratio": theoretical_ratio(family, param),
+            "predicted_ratio": predicted_ratio,
             "status": "converged" if ok else ";".join(sorted(set(statuses))),
         })
     return rows, gd_iters

@@ -12,9 +12,6 @@ import numpy as np
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "GRADCODEC_SEED"
-# The most values one blocked Gaussian draw holds (256 KiB of float64),
-# unless a single row is longer; chosen from scripts/sc_block_grid.py.
-BLOCK_VALUES = 1 << 15
 
 
 def default_seed():
@@ -34,8 +31,3 @@ def message_stream(base_seed, message_index=0) -> np.random.Generator:
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def block_rows(d):
-    """Rows of length d in one blocked draw: BLOCK_VALUES // d, at least one."""
-    return max(1, BLOCK_VALUES // d)

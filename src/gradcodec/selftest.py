@@ -242,7 +242,7 @@ def sc_battery(budget):
         cells[(alpha, d)] = {
             "stats": cell_stats,
             "mean_payload_bits": cell_stats.mean_bits - 31.0,
-            "lower": -math.log2(p),
+            "lower": bounds.avg_lower_bound(alpha, d),
             "contraction_violations": sum(dist > alpha for _, dist in measured),
             "chi2_pvalue": geometric_chi2_pvalue(trial_counts, p),
         }
@@ -363,10 +363,11 @@ def _eq1_floor(budget):
     margin, offender = math.inf, None
     for cs in all_stats:
         alpha_m = max(cs.mean_distortion, floor)
-        required = 0.5 * cs.d * math.log2(1.0 / alpha_m)
-        if alpha_m < 1.0 and cs.mean_bits - required < margin:
-            margin = cs.mean_bits - required
-            offender = f"{cs.label} d={cs.d}: bits {cs.mean_bits:.1f} vs required {required:.1f}"
+        if alpha_m < 1.0:
+            required = bounds.up_lower_bound(alpha_m, cs.d)
+            if cs.mean_bits - required < margin:
+                margin = cs.mean_bits - required
+                offender = f"{cs.label} d={cs.d}: bits {cs.mean_bits:.1f} vs required {required:.1f}"
     return margin >= 0.0, (f"worst margin {margin:.1f} bits over {len(all_stats)} "
                            f"configurations ({offender})")
 

@@ -366,6 +366,12 @@ class TestBoundsCommand:
     def test_empty_grid_is_usage_error(self):
         assert run(["bounds", "--alpha", "", "--d", "10"]) == 1
 
+    @pytest.mark.parametrize("grid", ["2.5,10", "10,inf"])
+    def test_non_integer_d_is_usage_error(self, capsys, grid):
+        assert run(["bounds", "--d", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-integer" in captured.err
+
 
 class TestSelftest:
     def test_fast_passes_every_gate(self, capsys):
@@ -470,6 +476,24 @@ class TestRejectedSettings:
         assert run(["bench", "--dataset", "synth:ridge:d=6,n=24,seed=3",
                     "--ops", "identity", f"--eps={eps}", "--out", str(tmp_path)]) == 3
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("family,grid,eps,zero_labels", [
+        ("rsd", "0.1", "1", False),  # the baseline meets eps at step 0
+        ("rsd", "0.1", "1e-4", True),  # x* = 0, so it does at any eps
+        ("topk", "0.5,1", "1e-4", False),  # 1/(1 - alpha) at alpha = 1
+        ("dsd", "1", "1e-4", False),
+    ], ids=["eps-1", "zero-minimizer", "topk-alpha-1", "dsd-alpha-1"])
+    def test_sweep_without_a_ratio_exits_3(self, tmp_path, capsys, family, grid, eps,
+                                           zero_labels):
+        dataset = "synth:ridge:d=6,n=24,seed=3"
+        if zero_labels:  # ridge on labels 0 has the minimizer x* = 0
+            dataset = tmp_path / "zero.svm"
+            dataset.write_text("0 1:1.0 2:2.0\n0 1:-1 2:0.5\n0 1:0.3 2:-1.5\n")
+        outdir = tmp_path / "out"
+        assert run(["sweep", "--family", family, "--grid", grid, "--eps", eps,
+                    "--dataset", str(dataset), "--out", str(outdir)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_sweep_needs_a_repeat(self, tmp_path):
         start = time.perf_counter()

@@ -15,7 +15,7 @@ from gradcodec import bitio
 from gradcodec.cli import main
 from gradcodec.compressors import CODECS, OperatorConfig, make_operator
 from gradcodec.rng import message_stream
-from gradcodec.selftest import roundtrip_configs
+from gradcodec.selftest import FAST, FULL, roundtrip_configs
 
 DIMS = (2, 17, 1000)
 SEEDS = (3, 4)
@@ -80,7 +80,7 @@ WIRE_DIGESTS = {
         "f2618ce01bf4a32366e2c5b02e4b03fd22ba3915eb88e79d992aac951ac38e1a",
 }
 
-# The dense codecs walk the vector in blocks of compressors.BLOCK = 2^16
+# The dense codecs walk the vector in blocks of bitio.BLOCK = 2^15
 # coordinates; these rows span several blocks and end mid-byte.
 MULTI_BLOCK_D = 2 * 2**16 + 3
 MULTI_BLOCK_CONFIGS = {
@@ -201,7 +201,7 @@ def trace_digests(outdir):
 
 def test_roundtrip_configs_cover_the_codec_table():
     # criterion 1 and the wire digests check exactly these kinds; sc needs d >= 2
-    for d in DIMS:
+    for d in {*DIMS, *FULL.roundtrip_dims, *FAST.roundtrip_dims}:
         assert sorted(c.kind for c in roundtrip_configs(d)) == sorted(CODECS)
     assert sorted(c.kind for c in roundtrip_configs(1)) == sorted(set(CODECS) - {"sc"})
 

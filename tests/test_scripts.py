@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcodec import cli, compressors, rng
+from gradcodec import bitio, cli, compressors
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -65,12 +65,12 @@ def test_direct_bits_grid_cell():
 
 
 def test_sc_block_grid_cell():
-    # one cell of each table; the grid sets rng.BLOCK_VALUES and puts it back
+    # one cell of each table; the grid sets bitio.BLOCK and puts it back
     module = load("sc_block_grid")
-    default, block = rng.BLOCK_VALUES, compressors.sc_code(0.01, 200)[2]
+    default, block = bitio.BLOCK, compressors.sc_code(0.01, 200)[2]
     times = module.cell_ms(0.5, 3, messages=4, rounds=1)
     encode_ns, decode_ns = module.scan_ns(200, rounds=1)
     for row in (times, encode_ns, decode_ns):
         assert len(row) == len(module.CAPS)
         assert all(math.isfinite(t) and t > 0.0 for t in row)
-    assert (rng.BLOCK_VALUES, compressors.sc_code(0.01, 200)[2]) == (default, block)
+    assert (bitio.BLOCK, compressors.sc_code(0.01, 200)[2]) == (default, block)
