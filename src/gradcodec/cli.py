@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, bitio, bounds, selftest
-from .compressors import (CODECS, PARAMS, GiveUpError, OperatorConfig, check_param,
-                          check_wrap, decode_payload, kind_for_tag, make_operator)
+from .compressors import (CODECS, PARAMS, GiveUpError, OperatorConfig, check_fields,
+                          decode_payload, kind_for_tag, make_operator)
 from .data import ParseError, load_dataset
 from .optim import (SWEEP_FAMILIES, cgd_run, make_problem, minimizer, smoothness,
                     iteration_ratio_sweep, r_squared)
@@ -107,9 +107,7 @@ def cmd_decompress(args):
     for name in needed:
         if getattr(args, name) is None:
             raise UsageError(f"decoding a {kind} message requires --{name}")
-        check_param(name, getattr(args, name))
-    if args.wrap_omega is not None:
-        check_wrap(kind, args.wrap_omega)
+    check_fields(kind, args, needed)  # exit 3 for what compress rejects
     params = SimpleNamespace(
         kind=kind, wrap_omega=args.wrap_omega, seed=args.seed,
         **{name: getattr(args, name) for name in needed},

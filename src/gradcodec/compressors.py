@@ -32,7 +32,7 @@ import numpy as np
 from . import bitio, bounds
 from .bitio import BitCursor, BitString
 from .geometry import CapParams, cap_probability
-from .rng import message_stream
+from .rng import gaussian_blocks, message_stream
 
 
 class GiveUpError(RuntimeError):
@@ -222,23 +222,6 @@ def sc_code(alpha, d):
     return m, cap, min(max(8, block), bitio.block_rows(d))
 
 
-def _sc_candidates(seed, message_index, d, rows, block):
-    """The first `rows` keyed Gaussian candidates of length d, as (index
-    of the first row, the next `block` rows or fewer).  Every block is
-    drawn into one buffer of min(block, rows) rows (none for rows <= 0),
-    so a yielded block is overwritten by the next one: a caller copies
-    the row it keeps, as _sc_vector does.  The draws are split-invariant,
-    so every block size yields the same rows: the encoder scans
-    sc_code's blocks to its trial cap, the decoder reads blocks of
-    bitio.block_rows(d) rows to row T."""
-    rng = message_stream(seed, message_index)
-    buf = np.empty((max(0, min(block, rows)), d))
-    for first in range(0, rows, block):
-        w = buf[:rows - first]
-        rng.standard_normal(out=w)
-        yield first, w
-
-
 def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     """Spherical compression: draw i.i.d. points of radius sqrt(1-alpha)
     from the shared keyed stream until one lands within sqrt(alpha) of
@@ -261,7 +244,7 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     threshold = alpha * norm * norm
     base2 = scale * scale + norm * norm
 
-    for first, w in _sc_candidates(seed, message_index, d, cap, block):
+    for first, w in gaussian_blocks(message_stream(seed, message_index), d, cap, block):
         norms = np.sqrt(np.einsum("ij,ij->i", w, w))  # no block-sized temporary
         if not (norms > 0.0).all():
             raise ArithmeticError("degenerate zero-norm Gaussian draw")
@@ -301,7 +284,8 @@ def _sc_read(cursor, d, alpha, seed, message_index):
     _check_end(cursor)  # before the replay, whose cost grows with T
     if norm == 0.0:
         return np.zeros(d)
-    for _, w in _sc_candidates(seed, message_index, d, T, bitio.block_rows(d)):
+    for _, w in gaussian_blocks(message_stream(seed, message_index), d, T,
+                                bitio.block_rows(d)):
         pass  # the last block ends at row T
     return _sc_vector(norm, alpha, w[-1])
 
@@ -497,9 +481,11 @@ class CodecSpec:
     fields and the seed.  Operator.compress_at and decode_payload do
     the rest: input checks, the outcome, the contract wrap and the
     trailing-bit gate.  `unbiased` kinds, E[C(x)] = x, accept a
-    contract wrap.  `predicted`, where set, maps (config, d) to the
-    (column, value) that `gradcodec compress` prints next to the
-    measured bits.
+    contract wrap.  example(d) is the kind's configuration that
+    criterion 1 and the golden digests check at dimension d, or None
+    where the kind takes no nonzero input.  `predicted`, where set, maps
+    (config, d) to the (column, value) that `gradcodec compress` prints
+    next to the measured bits.
     """
 
     tag: int
@@ -509,6 +495,7 @@ class CodecSpec:
     unbiased: bool
     write: Callable
     read: Callable
+    example: Callable
     predicted: Callable = None
 
 
@@ -517,6 +504,7 @@ CODECS = {
         tag=1, params=("nu",), decode_params=(), randomized=False, unbiased=False,
         write=lambda x, c, i: dsd_compress(x, c.nu),
         read=lambda cur, d, c, i: _sd_read(cur, d),
+        example=lambda d: OperatorConfig("dsd", nu=0.1),
         predicted=lambda c, d: ("predicted_dsd_bits",
                                 f"{bounds.dsd_predicted_bits(c.nu, d):.1f}"),
     ),
@@ -524,6 +512,7 @@ CODECS = {
         tag=2, params=("nu",), decode_params=(), randomized=True, unbiased=True,
         write=lambda x, c, i: rsd_compress(x, c.nu, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _sd_read(cur, d),
+        example=lambda d: OperatorConfig("rsd", nu=0.25, seed=11),
         predicted=lambda c, d: ("predicted_rsd_bits",
                                 f"{bounds.rsd_predicted_bits(c.nu, d):.1f}"),
     ),
@@ -531,6 +520,8 @@ CODECS = {
         tag=3, params=("alpha",), decode_params=("alpha",), randomized=True, unbiased=False,
         write=lambda x, c, i: sc_compress(x, c.alpha, c.seed, i),
         read=lambda cur, d, c, i: _sc_read(cur, d, c.alpha, c.seed, i),
+        # no cap exists at d = 1 (CapParams needs d >= 2), so no nonzero input
+        example=lambda d: OperatorConfig("sc", alpha=1.0 - 1.0 / d, seed=16) if d > 1 else None,
         predicted=lambda c, d: ("avg_lower_bits",
                                 f"{bounds.avg_lower_bound(c.alpha, d):.2f}"),
     ),
@@ -538,31 +529,37 @@ CODECS = {
         tag=4, params=("k",), decode_params=("k",), randomized=False, unbiased=False,
         write=lambda x, c, i: topk_compress(x, c.k),
         read=lambda cur, d, c, i: _sparse_read(cur, d, c.k),
+        example=lambda d: OperatorConfig("topk", k=max(1, d // 32)),
     ),
     "randsparse": CodecSpec(
         tag=5, params=("k",), decode_params=("k",), randomized=True, unbiased=True,
         write=lambda x, c, i: random_sparsify(x, c.k, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _sparse_read(cur, d, c.k),
+        example=lambda d: OperatorConfig("randsparse", k=max(1, d // 32), seed=12),
     ),
     "dither": CodecSpec(
         tag=6, params=("levels",), decode_params=("levels",), randomized=True, unbiased=True,
         write=lambda x, c, i: std_dither(x, c.levels, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _dither_read(cur, d, c.levels),
+        example=lambda d: OperatorConfig("dither", levels=max(1, round(math.sqrt(d))), seed=13),
     ),
     "ternary": CodecSpec(
         tag=7, params=(), decode_params=(), randomized=True, unbiased=True,
         write=lambda x, c, i: std_dither(x, 1, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _dither_read(cur, d, 1),
+        example=lambda d: OperatorConfig("ternary", seed=14),
     ),
     "natural": CodecSpec(
         tag=8, params=(), decode_params=(), randomized=True, unbiased=True,
         write=lambda x, c, i: natural_compress(x, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _natural_read(cur, d),
+        example=lambda d: OperatorConfig("natural", seed=15),
     ),
     "identity": CodecSpec(
         tag=9, params=(), decode_params=(), randomized=False, unbiased=True,
         write=lambda x, c, i: identity_compress(x),
         read=lambda cur, d, c, i: bitio.read_float32_block(cur, d),
+        example=lambda d: OperatorConfig("identity"),
     ),
 }
 
@@ -572,14 +569,6 @@ OPERATOR_TAGS = {kind: spec.tag for kind, spec in CODECS.items()}
 def kind_for_tag(tag):
     """The operator kind that a GCV1 tag byte names, or None."""
     return next((kind for kind, spec in CODECS.items() if spec.tag == tag), None)
-
-
-def check_wrap(kind, omega):
-    """Reject a contract wrap that no encoder of `kind` can produce."""
-    if not CODECS[kind].unbiased:
-        raise ValueError(f"contract wrap requires an unbiased operator, not {kind}")
-    if not omega >= 0.0:
-        raise ValueError("wrap omega must be >= 0")
 
 
 # --- configured operators ---------------------------------------------------
@@ -608,17 +597,7 @@ class OperatorConfig:
     def __post_init__(self):
         if self.kind not in CODECS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        required = CODECS[self.kind].params
-        for name in PARAMS:
-            value = getattr(self, name)
-            if name in required and value is None:
-                raise ValueError(f"{self.kind} requires {name}")
-            if name not in required and value is not None:
-                raise ValueError(f"{self.kind} does not take {name}")
-        for name in required:
-            check_param(name, getattr(self, name))
-        if self.wrap_omega is not None:
-            check_wrap(self.kind, self.wrap_omega)
+        check_fields(self.kind, self, CODECS[self.kind].params)
 
     def label(self):
         parts = []
@@ -637,11 +616,28 @@ class OperatorConfig:
 PARAMS = {f.name: f for f in dataclasses.fields(OperatorConfig) if "domain" in f.metadata}
 
 
-def check_param(name, value):
-    """Reject a value of the operator parameter `name` that no codec accepts."""
-    meta = PARAMS[name].metadata
-    if meta["rejects"](value):
-        raise ValueError(f"{name} must be {meta['domain']}, got {value}")
+def check_fields(kind, fields, required):
+    """The parameter rule of the writer and the reader alike.  `fields`
+    has an attribute per PARAMS name and wrap_omega, None where unset.
+    ValueError where a name in `required` is unset, where a parameter that
+    `kind` does not take is set, where a set value is outside its domain,
+    or where a contract wrap is set on a kind that is not unbiased."""
+    spec = CODECS[kind]
+    values = {name: getattr(fields, name) for name in PARAMS}
+    for name, value in values.items():
+        if name in required and value is None:
+            raise ValueError(f"{kind} requires {name}")
+        if name not in spec.params and value is not None:
+            raise ValueError(f"{kind} does not take {name}")
+    for name, value in values.items():
+        meta = PARAMS[name].metadata
+        if value is not None and meta["rejects"](value):
+            raise ValueError(f"{name} must be {meta['domain']}, got {value}")
+    if fields.wrap_omega is not None:
+        if not spec.unbiased:
+            raise ValueError(f"contract wrap requires an unbiased operator, not {kind}")
+        if not fields.wrap_omega >= 0.0:
+            raise ValueError("wrap omega must be >= 0")
 
 
 def _check_index(message_index):

@@ -1,6 +1,5 @@
 """Spherical-cap geometry: the regularized incomplete beta function,
-cap probabilities, and uniform sphere sampling with a Monte-Carlo
-oracle for cross-validation.
+cap probabilities, and a Monte-Carlo oracle for cross-validation.
 
 cap_probability(alpha, d) is the fraction of the unit sphere in R^d
 lying within distance sqrt(alpha) of an optimally placed cap center
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitio import block_rows
+from .rng import gaussian_blocks
 
 _BETACF_EPS = 1e-15
 _BETACF_TINY = 1e-300
@@ -123,40 +123,28 @@ def log2_cap_probability(params: CapParams):
     return log2_reg_inc_beta(params.alpha, (params.d - 1) / 2.0, 0.5) - 1.0
 
 
-def sample_unit_sphere_block(d, count, rng: np.random.Generator):
-    """`count` uniform unit vectors as a (count, d) array."""
-    v = rng.standard_normal((count, d))
-    norms = np.linalg.norm(v, axis=1)
-    bad = norms == 0.0
-    while bad.any():
-        v[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms[bad] = np.linalg.norm(v[bad], axis=1)
-        bad = norms == 0.0
-    v /= norms[:, None]
-    return v
-
-
 def mc_cap_probability(params: CapParams, trials, rng: np.random.Generator):
     """Monte-Carlo estimate of cap_probability.
 
-    Counts uniform unit samples x with ||x - c||^2 <= alpha for the
-    optimal center c = sqrt(1-alpha) e1, drawn in blocks of
-    bitio.block_rows(d) rows.  Returns (estimate, standard error) with the
-    standard error sqrt(p_hat (1-p_hat) / trials).
+    Counts uniform unit samples x, normalized Gaussian rows drawn through
+    rng.gaussian_blocks in blocks of bitio.block_rows(d) rows, with
+    ||x - c||^2 <= alpha for the optimal center c = sqrt(1-alpha) e1.
+    Returns (estimate, standard error) with the standard error
+    sqrt(p_hat (1-p_hat) / trials); ArithmeticError on a zero-norm row,
+    as sc_compress.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     center = math.sqrt(1.0 - params.alpha)
-    rows = block_rows(params.d)
     hits = 0
-    left = trials
-    while left > 0:
-        n = min(rows, left)
-        x = sample_unit_sphere_block(params.d, n, rng)
+    for _, x in gaussian_blocks(rng, params.d, trials, block_rows(params.d)):
+        norms = np.linalg.norm(x, axis=1)
+        if not (norms > 0.0).all():
+            raise ArithmeticError("degenerate zero-norm Gaussian draw")
+        x /= norms[:, None]
         x[:, 0] -= center
         dist2 = np.einsum("ij,ij->i", x, x)
         hits += int((dist2 <= params.alpha).sum())
-        left -= n
     p_hat = hits / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, stderr

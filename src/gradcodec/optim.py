@@ -15,6 +15,7 @@ import numpy as np
 
 from .compressors import CODECS, OperatorConfig, make_operator
 from .data import Dataset, map_binary_labels
+from .rng import message_stream
 
 DIVERGENCE_GUARD = 1e12
 
@@ -89,9 +90,7 @@ def gradient(problem: Problem, x):
 
 def _max_eigenvalue(A):
     """Largest eigenvalue of A^T A by power iteration."""
-    d = A.shape[1]
-    rng = np.random.Generator(np.random.Philox(key=np.array([7, 7], dtype=np.uint64)))
-    v = rng.standard_normal(d)
+    v = message_stream(7, 7).standard_normal(A.shape[1])
     v /= np.linalg.norm(v)
     lam_prev = 0.0
     for _ in range(10_000):
@@ -290,11 +289,14 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
     Randomized families may average over `repeats` independent seeds.
     Returns (rows, gd_iterations) where each row is a dict with the
     parameter, mean iterations, ratio, total bits, predicted ratio,
-    and per-row status.  ValueError, before any grid point runs, where
-    the baseline takes no step (eps >= 1 or x* = 0): no ratio exists.
+    and per-row status.  ValueError before the baseline runs where a
+    grid point has no predicted ratio or no valid config, and before any
+    grid point runs where the baseline takes no step (eps >= 1 or
+    x* = 0): no ratio exists.
     """
     _family(family)
     predicted = [theoretical_ratio(family, param) for param in grid]
+    configs = [sweep_config(family, param, problem.d, seed=seed) for param in grid]
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     L = smoothness(problem)
@@ -305,11 +307,10 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
         raise ValueError(f"the uncompressed baseline meets eps={eps} at step 0")
 
     rows = []
-    for param, predicted_ratio in zip(grid, predicted):
+    for param, predicted_ratio, first in zip(grid, predicted, configs):
         iters = []
         bits = []
         statuses = []
-        first = sweep_config(family, param, problem.d, seed=seed)
         for r in range(repeats if CODECS[first.kind].randomized else 1):
             config = dataclasses.replace(first, seed=seed + r)
             trace = cgd_run(problem, config, eps=eps, x_star=x_star, L=L)

@@ -3,7 +3,10 @@
 Every randomized codec draws from a Philox stream keyed by
 (base_seed, message_index), so an encoder and a decoder that agree on
 the base seed replay identical per-message sequences without sharing
-state.  Streams for distinct message indices are independent.
+state.  Streams for distinct message indices are independent.  This is
+the one module that builds a generator, and gaussian_blocks is the one
+blocked Gaussian draw: SC's candidates and the cap-probability oracle's
+sphere samples.
 """
 
 import os
@@ -31,3 +34,17 @@ def message_stream(base_seed, message_index=0) -> np.random.Generator:
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def gaussian_blocks(gen: np.random.Generator, d, rows, block):
+    """The next `rows` standard normal rows of length d from `gen`, as
+    (index of the first row, the next `block` rows or fewer).  Every block
+    is drawn into one buffer of min(block, rows) rows (none for rows <= 0),
+    so a yielded block is overwritten by the next one: a caller copies
+    what it keeps.  The draws are split-invariant, so every block size
+    yields the same rows."""
+    buf = np.empty((max(0, min(block, rows)), d))
+    for first in range(0, rows, block):
+        w = buf[:rows - first]
+        gen.standard_normal(out=w)
+        yield first, w

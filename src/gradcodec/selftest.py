@@ -16,8 +16,8 @@ from scipy import stats
 
 from . import bounds
 from .bitio import BitCursor
-from .compressors import OperatorConfig, _sc_fields, make_operator
-from .data import synth_classification, synth_regression
+from .compressors import CODECS, OperatorConfig, _sc_fields, make_operator
+from .data import load_dataset, synth_classification, synth_regression
 from .geometry import CapParams, cap_probability, mc_cap_probability
 from .optim import (cgd_run, gradient, iteration_ratio_sweep, loss,
                     make_problem, minimizer, r_squared, smoothness)
@@ -94,20 +94,8 @@ def _config_stats(label, d, measured):
 # --- batteries ----------------------------------------------------------------
 
 def roundtrip_configs(d):
-    """One representative configuration per operator kind at dimension d."""
-    cfgs = [
-        OperatorConfig("dsd", nu=0.1),
-        OperatorConfig("rsd", nu=0.25, seed=11),
-        OperatorConfig("topk", k=max(1, d // 32)),
-        OperatorConfig("randsparse", k=max(1, d // 32), seed=12),
-        OperatorConfig("dither", levels=max(1, round(math.sqrt(d))), seed=13),
-        OperatorConfig("ternary", seed=14),
-        OperatorConfig("natural", seed=15),
-        OperatorConfig("identity"),
-    ]
-    if d >= 2:
-        cfgs.append(OperatorConfig("sc", alpha=1.0 - 1.0 / d, seed=16))
-    return cfgs
+    """Each CODECS row's example configuration at dimension d."""
+    return [c for c in (spec.example(d) for spec in CODECS.values()) if c is not None]
 
 
 @functools.cache
@@ -252,9 +240,7 @@ def sc_battery(budget):
 @functools.cache
 def problem(loss_kind):
     """The pinned d=50, n=200 synthetic problem of criteria 7 and 8."""
-    if loss_kind == "ridge":
-        return make_problem(synth_regression(50, 200, 0.1, 7), "ridge")
-    return make_problem(synth_classification(50, 200, 0.5, 7), "logistic")
+    return make_problem(load_dataset(f"synth:{loss_kind}"), loss_kind)
 
 
 @functools.cache

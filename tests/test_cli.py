@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gradcodec import bitio
+from gradcodec import bitio, optim
 from gradcodec.bitio import BitString
 from gradcodec.cli import _parse_ops_list, build_parser, main
 from gradcodec.compressors import (CODECS, OPERATOR_TAGS, PARAMS, OperatorConfig,
@@ -326,6 +326,31 @@ class TestErrorPaths:
         assert run(["decompress", "--in", str(msg), flag, bad]) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,argv,message", [
+        ("topk", ["--k", "2", "--levels", "7", "--alpha", "0.5", "--nu", "-3"],
+         "topk does not take nu"),
+        ("dsd", ["--nu", "-1"], "nu must be > 0, got -1.0"),
+        ("dsd", ["--op", "dsd", "--k", "3"], "dsd does not take k"),
+    ], ids=["foreign-flags", "encoder-only-domain", "foreign-k"])
+    def test_decode_flags_follow_the_compress_rule(self, tmp_path, capsys, kind, argv,
+                                                   message):
+        msg = compress_file(tmp_path, kind, [1.0, -2.0, 3.0])
+        vec = tmp_path / "vec.txt"
+        capsys.readouterr()
+        assert run(["compress", "--op", kind, *argv, "--in", str(vec),
+                    "--out", str(tmp_path / "o")]) == 3
+        capsys.readouterr()
+        assert run(["decompress", "--in", str(msg), *argv]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_encoder_only_flag_in_its_domain_decodes(self, tmp_path, capsys):
+        msg = compress_file(tmp_path, "dsd", [1.0, -2.0, 3.0])
+        capsys.readouterr()
+        assert run(["decompress", "--in", str(msg)]) == 0
+        decoded = capsys.readouterr().out
+        assert run(["decompress", "--in", str(msg), "--nu", "0.1"]) == 0
+        assert capsys.readouterr().out == decoded
+
     def test_subnormal_cap_probability_exits_3(self, tmp_path, capsys):
         # P(0.01, 312) is about 2e-313: 1/P overflows a float
         d, alpha = 312, 0.01
@@ -494,6 +519,15 @@ class TestRejectedSettings:
                     "--dataset", str(dataset), "--out", str(outdir)]) == 3
         assert "error:" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_sweep_grid_is_checked_before_the_baseline(self, tmp_path, monkeypatch, capsys):
+        # nu = -1 is no rsd config, so no CGD run starts, the baseline included
+        runs = []
+        monkeypatch.setattr(optim, "cgd_run", lambda *a, **k: runs.append(a))
+        assert run(["sweep", "--family", "rsd", "--grid", "0.1,0.25,-1",
+                    "--dataset", "synth:ridge:d=50,n=200,seed=7", "--out", str(tmp_path)]) == 3
+        assert "nu must be > 0, got -1.0" in capsys.readouterr().err
+        assert runs == []
 
     def test_sweep_needs_a_repeat(self, tmp_path):
         start = time.perf_counter()

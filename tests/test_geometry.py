@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc as scipy_betainc
 
+from gradcodec import bitio
 from gradcodec.geometry import (CapParams, cap_probability,
                                 log2_cap_probability, mc_cap_probability,
-                                reg_inc_beta, sample_unit_sphere_block)
+                                reg_inc_beta)
 from gradcodec.rng import message_stream
 
 # closed form for a = 1: I_p(1, 1/2) = 2(1 - sqrt(1-p)) / B(1, 1/2), B = 2
@@ -95,32 +97,6 @@ class TestCapProbability:
             CapParams(0.5, 1)
 
 
-class TestSphereSampling:
-    def test_unit_norm(self):
-        rng = message_stream(1, 0)
-        for d in (1, 2, 7, 100):
-            v = sample_unit_sphere_block(d, 1, rng)[0]
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-    def test_d1_is_signs(self):
-        rng = message_stream(2, 0)
-        vals = {float(sample_unit_sphere_block(1, 1, rng)[0, 0]) for _ in range(200)}
-        assert vals == {-1.0, 1.0}
-
-    def test_mean_concentration(self):
-        # CLT bound from the spec of the sampler: 4/sqrt(n) per coordinate
-        n = 100_000
-        block = sample_unit_sphere_block(5, n, message_stream(3, 0))
-        assert np.abs(block.mean(axis=0)).max() < 4.0 / math.sqrt(n)
-
-    def test_empirical_cap_hits_closed_form(self):
-        n = 200_000
-        block = sample_unit_sphere_block(3, n, message_stream(4, 0))
-        frac = float((block[:, 0] >= math.sqrt(0.5)).mean())
-        p = 0.5 * (1 - math.sqrt(0.5))
-        assert abs(frac - p) < 4.0 * math.sqrt(p * (1 - p) / n)
-
-
 class TestMonteCarloOracle:
     def test_full_grid_against_closed_form(self):
         # alpha x d grid at one million trials per cell, 4-sigma tolerance
@@ -149,3 +125,44 @@ class TestMonteCarloOracle:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             mc_cap_probability(CapParams(0.5, 3), 0, message_stream(7, 0))
+
+    def test_blocked_estimate_equals_one_draw(self):
+        # 5000 trials: part of one 10922-row block at d=3, seven 655-row
+        # blocks and part of an eighth at d=50
+        for alpha, d in ((0.5, 3), (0.7, 50)):
+            trials = 5000
+            x = message_stream(9, d).standard_normal((trials, d))
+            x /= np.linalg.norm(x, axis=1)[:, None]
+            x[:, 0] -= math.sqrt(1.0 - alpha)
+            hits = int((np.einsum("ij,ij->i", x, x) <= alpha).sum())
+            assert trials % bitio.block_rows(d) != 0
+            est, se = mc_cap_probability(CapParams(alpha, d), trials, message_stream(9, d))
+            assert est == hits / trials
+            assert se == math.sqrt(est * (1 - est) / trials)
+
+    def test_zero_norm_row_rejected(self):
+        class ZeroRow:
+            """A stream whose third row is all zeros."""
+
+            def __init__(self):
+                self.rng = message_stream(10, 0)
+
+            def standard_normal(self, shape=None, out=None):
+                self.rng.standard_normal(shape, out=out)
+                out[2] = 0.0
+
+        with pytest.raises(ArithmeticError):
+            mc_cap_probability(CapParams(0.5, 3), 10, ZeroRow())
+
+    def test_working_memory_is_one_capped_block(self):
+        # a block holds at most 2^15 values, 256 KiB, and its row norms
+        # take one more block-sized temporary; the oracle measured 528 KiB
+        # here (784 KiB when it drew a fresh block per loop)
+        block_bytes = 8 * (1 << 15)
+        tracemalloc.start()
+        try:
+            mc_cap_probability(CapParams(0.5, 50), 100_003, message_stream(11, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block_bytes + (32 << 10)

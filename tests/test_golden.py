@@ -200,10 +200,12 @@ def trace_digests(outdir):
 
 
 def test_roundtrip_configs_cover_the_codec_table():
-    # criterion 1 and the wire digests check exactly these kinds; sc needs d >= 2
-    for d in {*DIMS, *FULL.roundtrip_dims, *FAST.roundtrip_dims}:
-        assert sorted(c.kind for c in roundtrip_configs(d)) == sorted(CODECS)
-    assert sorted(c.kind for c in roundtrip_configs(1)) == sorted(set(CODECS) - {"sc"})
+    # criterion 1 and the wire digests check each row's example; sc has none at d = 1
+    for d in {1, *DIMS, *FULL.roundtrip_dims, *FAST.roundtrip_dims}:
+        examples = {kind: spec.example(d) for kind, spec in CODECS.items()}
+        assert all(c is None or c.kind == kind for kind, c in examples.items())
+        assert [kind for kind, c in examples.items() if c is None] == (["sc"] if d == 1 else [])
+        assert roundtrip_configs(d) == [c for c in examples.values() if c is not None]
 
 
 def test_wire_digests():

@@ -3,7 +3,8 @@ stated reason: every module-level function, class and constant of
 src/gradcodec must be named somewhere outside its own definition in
 src, scripts or perfbench.  Likewise no module-level function only
 restates another: none may just pass its own parameters, in order, to
-one other callable."""
+one other callable.  And rng.py is the one module that builds a random
+generator, so every draw is keyed through its streams."""
 
 import ast
 import re
@@ -16,6 +17,8 @@ USERS = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").glob(
          *sorted((ROOT / "perfbench").glob("*.py"))]
 
 WORD = re.compile(r"\w+")
+# a call that builds a numpy Generator or bit generator
+GENERATOR_CALL = re.compile(r"\b(Generator|default_rng|Philox|PCG64|PCG64DXSM|SFC64|MT19937)\(")
 
 # name -> why it stays although no program file names it
 KEPT = {
@@ -103,3 +106,17 @@ def test_no_function_only_forwards_its_parameters():
 
 def test_every_kept_forwarder_still_forwards():
     assert sorted(entry.split(":")[1] for entry in forwarders()) == sorted(FORWARDERS_KEPT)
+
+
+def generator_builders():
+    """'module.py:line' of each generator construction outside rng.py."""
+    return [f"{path.name}:{number}"
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "rng.py"
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if GENERATOR_CALL.search(line)]
+
+
+def test_only_rng_builds_a_generator():
+    assert generator_builders() == []
+    # the pattern still matches the one construction the rule allows
+    assert GENERATOR_CALL.search((PACKAGE / "rng.py").read_text(encoding="utf-8"))
