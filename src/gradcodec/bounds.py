@@ -103,20 +103,24 @@ def savings_table(d):
 
     Rows: (method, bits, omega, bits/(32 d), savings multiple).  Bit
     counts are the nominal per-method formulas used for the published
-    comparison, not measured payloads.
+    comparison, not measured payloads; omega is the claim
+    (compressors.claim) of the operator configuration each row names.
     """
+    from .compressors import OperatorConfig, claim  # compressors imports this module
+
     log2_3 = math.log2(3.0)
     rows = []
 
-    def add(method, bits, omega):
+    def add(method, bits, kind, **params):
+        omega = claim(OperatorConfig(kind, **params), d)[1]
         beta = bits / (FLOAT_BITS_PER_COORD * d)
         rows.append((method, bits, omega, beta, savings_factor(omega, bits, d)))
 
-    add("none (32-bit floats)", 32.0 * d, 0.0)
+    add("none (32-bit floats)", 32.0 * d, "identity")
     k = max(1, d // 10)
-    add("random sparsification (k=d/10)", 32.0 * k + math.log2(binom(d, k)), d / k - 1.0)
-    add("ternary quantization", log2_3 * d, math.sqrt(d))
-    add("standard dithering (s=sqrt(d))", 2.8 * d, 1.0)
-    add("natural compression", 9.0 * d, 0.125)
-    add("randomized sparse dithering (omega=1/4)", (1.0 + log2_3) * d, 0.25)
+    add("random sparsification (k=d/10)", 32.0 * k + math.log2(binom(d, k)), "randsparse", k=k)
+    add("ternary quantization", log2_3 * d, "ternary")
+    add("standard dithering (s=sqrt(d))", 2.8 * d, "dither", levels=max(1, round(math.sqrt(d))))
+    add("natural compression", 9.0 * d, "natural")
+    add("randomized sparse dithering (omega=1/4)", (1.0 + log2_3) * d, "rsd", nu=0.25)
     return rows

@@ -19,7 +19,7 @@ from .compressors import (CODECS, PARAMS, GiveUpError, OperatorConfig, check_fie
                           decode_payload, kind_for_tag, make_operator)
 from .data import ParseError, load_dataset
 from .optim import (SWEEP_FAMILIES, cgd_run, make_problem, minimizer, smoothness,
-                    iteration_ratio_sweep, r_squared)
+                    iteration_ratio_sweep, r_squared, sweep_config)
 from .rng import default_seed
 from .svg import line_plot
 
@@ -194,6 +194,8 @@ def _parse_ops_list(text, seed):
         if not item:
             continue
         name, _, params = item.partition(":")
+        if name not in CODECS:
+            raise UsageError(f"unknown operator kind {name!r} in {item!r}")
         kwargs = {"seed": seed}
         if params:
             for kv in params.split(","):
@@ -201,8 +203,11 @@ def _parse_ops_list(text, seed):
                 key = key.strip()
                 if key not in _FIELD_TYPES:
                     raise UsageError(f"unknown operator field {key!r} in {item!r}")
-                kwargs[key] = _FIELD_TYPES[key](value)
-        if name in CODECS and not CODECS[name].randomized:
+                try:
+                    kwargs[key] = _FIELD_TYPES[key](value)
+                except ValueError:
+                    raise UsageError(f"bad {key} value {value!r} in {item!r}") from None
+        if not CODECS[name].randomized:
             del kwargs["seed"]  # no stream to key: record the default seed
         config = OperatorConfig(name, **kwargs)
         configs.append(("basic" if config == BASIC else item, config))
@@ -308,8 +313,9 @@ def cmd_sweep(args):
     _write_text(os.path.join(args.outdir, f"sweep_{args.family}.csv"),
                 "\n".join(lines) + "\n")
 
-    axis = SWEEP_FAMILIES[args.family].axis
-    label = "1+X" if axis == "omega" else "1/(1-X)"
+    # the unwrapped kind's class names the axis, so a wrapped rsd sweeps omega
+    kind = sweep_config(args.family, grid[0], problem.d).kind
+    axis, label = ("omega", "1+X") if CODECS[kind].claim[0] == "unbiased" else ("alpha", "1/(1-X)")
     svg = line_plot(
         [
             ("measured ratio", [r["param"] for r in rows], measured),

@@ -480,7 +480,8 @@ class CodecSpec:
     payload's fields from a BitCursor and reads only the `decode_params`
     fields and the seed.  Operator.compress_at and decode_payload do
     the rest: input checks, the outcome, the contract wrap and the
-    trailing-bit gate.  `unbiased` kinds, E[C(x)] = x, accept a
+    trailing-bit gate.  claim() reads `claim`, ("unbiased", omega(config,
+    d)) or ("contractive", alpha(config, d)); an unbiased kind accepts a
     contract wrap.  example(d) is the kind's configuration that
     criterion 1 and the golden digests check at dimension d, or None
     where the kind takes no nonzero input.  `predicted`, where set, maps
@@ -492,7 +493,7 @@ class CodecSpec:
     params: tuple
     decode_params: tuple
     randomized: bool
-    unbiased: bool
+    claim: tuple
     write: Callable
     read: Callable
     example: Callable
@@ -501,7 +502,8 @@ class CodecSpec:
 
 CODECS = {
     "dsd": CodecSpec(
-        tag=1, params=("nu",), decode_params=(), randomized=False, unbiased=False,
+        tag=1, params=("nu",), decode_params=(), randomized=False,
+        claim=("contractive", lambda c, d: c.nu),
         write=lambda x, c, i: dsd_compress(x, c.nu),
         read=lambda cur, d, c, i: _sd_read(cur, d),
         example=lambda d: OperatorConfig("dsd", nu=0.1),
@@ -509,7 +511,8 @@ CODECS = {
                                 f"{bounds.dsd_predicted_bits(c.nu, d):.1f}"),
     ),
     "rsd": CodecSpec(
-        tag=2, params=("nu",), decode_params=(), randomized=True, unbiased=True,
+        tag=2, params=("nu",), decode_params=(), randomized=True,
+        claim=("unbiased", lambda c, d: c.nu),
         write=lambda x, c, i: rsd_compress(x, c.nu, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _sd_read(cur, d),
         example=lambda d: OperatorConfig("rsd", nu=0.25, seed=11),
@@ -517,7 +520,8 @@ CODECS = {
                                 f"{bounds.rsd_predicted_bits(c.nu, d):.1f}"),
     ),
     "sc": CodecSpec(
-        tag=3, params=("alpha",), decode_params=("alpha",), randomized=True, unbiased=False,
+        tag=3, params=("alpha",), decode_params=("alpha",), randomized=True,
+        claim=("contractive", lambda c, d: c.alpha),
         write=lambda x, c, i: sc_compress(x, c.alpha, c.seed, i),
         read=lambda cur, d, c, i: _sc_read(cur, d, c.alpha, c.seed, i),
         # no cap exists at d = 1 (CapParams needs d >= 2), so no nonzero input
@@ -526,37 +530,45 @@ CODECS = {
                                 f"{bounds.avg_lower_bound(c.alpha, d):.2f}"),
     ),
     "topk": CodecSpec(
-        tag=4, params=("k",), decode_params=("k",), randomized=False, unbiased=False,
+        tag=4, params=("k",), decode_params=("k",), randomized=False,
+        claim=("contractive", lambda c, d: 1.0 - c.k / d),  # an upper bound
         write=lambda x, c, i: topk_compress(x, c.k),
         read=lambda cur, d, c, i: _sparse_read(cur, d, c.k),
         example=lambda d: OperatorConfig("topk", k=max(1, d // 32)),
     ),
     "randsparse": CodecSpec(
-        tag=5, params=("k",), decode_params=("k",), randomized=True, unbiased=True,
+        tag=5, params=("k",), decode_params=("k",), randomized=True,
+        claim=("unbiased", lambda c, d: d / c.k - 1.0),
         write=lambda x, c, i: random_sparsify(x, c.k, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _sparse_read(cur, d, c.k),
         example=lambda d: OperatorConfig("randsparse", k=max(1, d // 32), seed=12),
     ),
     "dither": CodecSpec(
-        tag=6, params=("levels",), decode_params=("levels",), randomized=True, unbiased=True,
+        tag=6, params=("levels",), decode_params=("levels",), randomized=True,
+        # QSGD (Alistarh et al., NeurIPS 2017), Lemma 3.1
+        claim=("unbiased", lambda c, d: min(d / c.levels ** 2, math.sqrt(d) / c.levels)),
         write=lambda x, c, i: std_dither(x, c.levels, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _dither_read(cur, d, c.levels),
         example=lambda d: OperatorConfig("dither", levels=max(1, round(math.sqrt(d))), seed=13),
     ),
     "ternary": CodecSpec(
-        tag=7, params=(), decode_params=(), randomized=True, unbiased=True,
+        tag=7, params=(), decode_params=(), randomized=True,
+        claim=("unbiased", lambda c, d: math.sqrt(d)),
         write=lambda x, c, i: std_dither(x, 1, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _dither_read(cur, d, 1),
         example=lambda d: OperatorConfig("ternary", seed=14),
     ),
     "natural": CodecSpec(
-        tag=8, params=(), decode_params=(), randomized=True, unbiased=True,
+        tag=8, params=(), decode_params=(), randomized=True,
+        # 1/8 holds where every |x_i| is 0 or >= 2^-126; smaller ones stay unbiased only
+        claim=("unbiased", lambda c, d: 0.125),
         write=lambda x, c, i: natural_compress(x, message_stream(c.seed, i)),
         read=lambda cur, d, c, i: _natural_read(cur, d),
         example=lambda d: OperatorConfig("natural", seed=15),
     ),
     "identity": CodecSpec(
-        tag=9, params=(), decode_params=(), randomized=False, unbiased=True,
+        tag=9, params=(), decode_params=(), randomized=False,
+        claim=("unbiased", lambda c, d: 0.0),
         write=lambda x, c, i: identity_compress(x),
         read=lambda cur, d, c, i: bitio.read_float32_block(cur, d),
         example=lambda d: OperatorConfig("identity"),
@@ -564,6 +576,18 @@ CODECS = {
 }
 
 OPERATOR_TAGS = {kind: spec.tag for kind, spec in CODECS.items()}
+
+
+def claim(config, d):
+    """The class config claims at dimension d: ("unbiased", omega), where
+    E[C(x)] = x and E||C(x) - x||^2 <= omega ||x||^2, or ("contractive",
+    alpha), where E||C(x) - x||^2 <= alpha ||x||^2.  A contract wrap by w
+    of an unbiased omega is contractive, alpha = (omega + w^2) / (1 + w)^2."""
+    kind, parameter = CODECS[config.kind].claim
+    value, w = parameter(config, d), config.wrap_omega
+    if w is None:
+        return kind, value
+    return "contractive", (value + w * w) / ((1.0 + w) * (1.0 + w))
 
 
 def kind_for_tag(tag):
@@ -634,7 +658,7 @@ def check_fields(kind, fields, required):
         if value is not None and meta["rejects"](value):
             raise ValueError(f"{name} must be {meta['domain']}, got {value}")
     if fields.wrap_omega is not None:
-        if not spec.unbiased:
+        if spec.claim[0] != "unbiased":
             raise ValueError(f"contract wrap requires an unbiased operator, not {kind}")
         if not fields.wrap_omega >= 0.0:
             raise ValueError("wrap omega must be >= 0")

@@ -9,11 +9,10 @@ x_{t+1} = x_t - (1/L) C(grad f(x_t)) from x_0 = 0 and stops when
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .compressors import CODECS, OperatorConfig, make_operator
+from .compressors import CODECS, OperatorConfig, claim, make_operator
 from .data import Dataset, map_binary_labels
 from .rng import message_stream
 
@@ -236,49 +235,37 @@ def cgd_run(problem: Problem, config: OperatorConfig, eps=1e-4,
     )
 
 
-@dataclass(frozen=True)
-class SweepFamily:
-    """One sweep family: the axis its grid values are read on, "alpha"
-    (contractive, predicted ratio 1/(1-alpha)) or "omega" (unbiased,
-    1+omega), and config(value, d) -> its OperatorConfig."""
-
-    axis: str
-    config: Callable
-
-
+# sweep family -> its OperatorConfig at (grid value, d), which claims the
+# grid value as its alpha or omega (top-k up to the rounding of k)
 SWEEP_FAMILIES = {
-    "topk": SweepFamily("alpha", lambda a, d: OperatorConfig(
-        "topk", k=min(d, max(1, round((1.0 - a) * d))))),
-    "sc": SweepFamily("alpha", lambda a, d: OperatorConfig("sc", alpha=a)),
-    "dsd": SweepFamily("alpha", lambda a, d: OperatorConfig("dsd", nu=a)),
-    "rsd": SweepFamily("omega", lambda w, d: OperatorConfig("rsd", nu=w)),
+    # alpha >= 1 names no top-k: k = 0, which OperatorConfig rejects
+    "topk": lambda a, d: OperatorConfig(
+        "topk", k=min(d, max(1, round((1.0 - a) * d))) if a < 1.0 else 0),
+    "sc": lambda a, d: OperatorConfig("sc", alpha=a),
+    "dsd": lambda a, d: OperatorConfig("dsd", nu=a),
+    "rsd": lambda w, d: OperatorConfig("rsd", nu=w),
     # B(omega/(1+omega)) gives 1/(1-alpha) = 1+omega
-    "rsd-wrapped": SweepFamily("omega", lambda w, d: OperatorConfig(
-        "rsd", nu=w, wrap_omega=w)),
+    "rsd-wrapped": lambda w, d: OperatorConfig("rsd", nu=w, wrap_omega=w),
 }
 
 
-def _family(name):
-    """The SWEEP_FAMILIES row of `name`; ValueError for an unknown family."""
-    if name not in SWEEP_FAMILIES:
-        raise ValueError(f"unknown sweep family {name!r}")
-    return SWEEP_FAMILIES[name]
-
-
 def sweep_config(family, param, d, seed=0):
-    """Operator config for one sweep point of `family`."""
-    return dataclasses.replace(_family(family).config(param, d), seed=seed)
+    """Operator config for one sweep point of `family`; ValueError if unknown."""
+    if family not in SWEEP_FAMILIES:
+        raise ValueError(f"unknown sweep family {family!r}")
+    return dataclasses.replace(SWEEP_FAMILIES[family](param, d), seed=seed)
 
 
-def theoretical_ratio(family, param):
-    """Iteration inflation predicted for the family: 1/(1-alpha) for
-    contractive operators, 1+omega for unbiased ones; ValueError for
-    alpha >= 1, where 1/(1-alpha) is infinite or negative."""
-    if _family(family).axis == "omega":
-        return 1.0 + param
-    if not param < 1.0:
-        raise ValueError(f"{family} sweep needs alpha < 1, got {param}")
-    return 1.0 / (1.0 - param)
+def theoretical_ratio(config, d):
+    """Iteration inflation that config's claim at dimension d predicts:
+    1+omega for an unbiased claim, 1/(1-alpha) for a contractive one;
+    ValueError for alpha >= 1, where 1/(1-alpha) is infinite or negative."""
+    kind, value = claim(config, d)
+    if kind == "unbiased":
+        return 1.0 + value
+    if not value < 1.0:
+        raise ValueError(f"{config.label()} claims alpha = {value:g}, which predicts no ratio")
+    return 1.0 / (1.0 - value)
 
 
 def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
@@ -294,9 +281,8 @@ def iteration_ratio_sweep(problem: Problem, family, grid, eps=1e-4,
     grid point runs where the baseline takes no step (eps >= 1 or
     x* = 0): no ratio exists.
     """
-    _family(family)
-    predicted = [theoretical_ratio(family, param) for param in grid]
     configs = [sweep_config(family, param, problem.d, seed=seed) for param in grid]
+    predicted = [theoretical_ratio(config, problem.d) for config in configs]
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     L = smoothness(problem)

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from . import bounds
-from .bitio import BitCursor
-from .compressors import CODECS, OperatorConfig, _sc_fields, make_operator
+from .bitio import BitCursor, read_float_magnitude
+from .compressors import CODECS, OperatorConfig, _sc_fields, claim, make_operator
 from .data import load_dataset, synth_classification, synth_regression
 from .geometry import CapParams, cap_probability, mc_cap_probability
 from .optim import (cgd_run, gradient, iteration_ratio_sweep, loss,
@@ -169,16 +168,46 @@ def rsd_battery(budget):
     return _config_stats(f"rsd(nu={RSD_NU:g})", d, measured), t
 
 
+def geometric_cdf(k, p):
+    """P(K <= k) for K ~ Geometric(p) on {1, 2, ...}: 1 - (1 - p)^floor(k)."""
+    return -np.expm1(np.log1p(-p) * np.floor(k))
+
+
+def geometric_quantile(q, p):
+    """The least k >= 1 with geometric_cdf(k, p) >= q, for 0 < q < 1: the
+    closed form ceil(log(1 - q) / log(1 - p)), one lower where rounding
+    put it one too high."""
+    k = np.ceil(np.log1p(-q) / np.log1p(-p))
+    return np.where((geometric_cdf(k - 1, p) >= q) & (k > 0), k - 1, k)
+
+
+def chi2_sf(x, dof):
+    """P(X > x) for X ~ chi-square with a positive integer dof: the upper
+    regularized gamma Q(dof/2, x/2), which is the sum of
+    e^-y y^(a-1) / Gamma(a) over a = dof/2, dof/2 - 1, ... > 0 at y = x/2,
+    plus erfc(sqrt(y)) where dof is odd."""
+    y = 0.5 * x
+    if dof % 2:
+        total, term, a = math.erfc(math.sqrt(y)), 2.0 * math.exp(-y) * math.sqrt(y / math.pi), 1.5
+    else:
+        total, term, a = 0.0, math.exp(-y), 1.0
+    while a <= 0.5 * dof:
+        total += term
+        term *= y / a
+        a += 1.0
+    return total
+
+
 def geometric_chi2_pvalue(samples, p):
     """Chi-square goodness of fit of integer samples to Geometric(p),
     binned by geometric quantiles with expected counts >= 5."""
     samples = np.asarray(samples, dtype=np.int64)
     n = samples.size
-    qs = stats.geom.ppf(np.linspace(0.0, 1.0, 21)[1:-1], p).astype(np.int64)
+    qs = geometric_quantile(np.linspace(0.0, 1.0, 21)[1:-1], p).astype(np.int64)
     edges = np.unique(qs[qs >= 1])
     # bins: [1, e0], (e0, e1], ..., (e_last, inf)
     uppers = list(edges) + [None]
-    probs = np.diff(np.concatenate([[0.0], stats.geom.cdf(edges, p), [1.0]]))
+    probs = np.diff(np.concatenate([[0.0], geometric_cdf(edges, p), [1.0]]))
     # merge each bin into the next until its expected count is large enough
     merged_probs = []
     merged_uppers = []
@@ -198,7 +227,7 @@ def geometric_chi2_pvalue(samples, p):
     ).astype(np.float64)
     expected = np.asarray(merged_probs) * n
     expected *= observed.sum() / expected.sum()
-    return float(stats.chisquare(observed, expected).pvalue)
+    return chi2_sf(float(((observed - expected) ** 2 / expected).sum()), observed.size - 1)
 
 
 def sc_cell_cost(alpha, d, messages):
@@ -221,15 +250,19 @@ def sc_battery(budget):
         op = make_operator(OperatorConfig("sc", alpha=alpha, seed=seed))
         gen = message_stream(seed, 903)
         measured = []
+        norm_bits = 0  # the norm field's widths, read off the payloads
         trial_counts = np.empty(budget.sc_messages, dtype=np.int64)
         for i in range(budget.sc_messages):
             payload, out = op.compress_at(gen.standard_normal(d), i)
             measured.append((out.bits, out.distortion))
+            cursor = BitCursor(payload)
+            read_float_magnitude(cursor)
+            norm_bits += cursor.pos
             trial_counts[i] = _sc_fields(BitCursor(payload), d, alpha)[1]
         cell_stats = _config_stats(op.config.label(), d, measured)
         cells[(alpha, d)] = {
             "stats": cell_stats,
-            "mean_payload_bits": cell_stats.mean_bits - 31.0,
+            "mean_payload_bits": cell_stats.mean_bits - norm_bits / budget.sc_messages,
             "lower": bounds.avg_lower_bound(alpha, d),
             "contraction_violations": sum(dist > alpha for _, dist in measured),
             "chi2_pvalue": geometric_chi2_pvalue(trial_counts, p),
@@ -275,17 +308,19 @@ def _roundtrip_exactness(budget):
 
 
 def _dsd_bound(budget):
-    rows = [(d, bits, bounds.dsd_predicted_bits(DSD_NU, d) + 2, dist)
+    config = OperatorConfig("dsd", nu=DSD_NU)
+    rows = [(d, bits, bounds.dsd_predicted_bits(DSD_NU, d) + 2, dist, claim(config, d)[1])
             for d, bits, dist, _ in dsd_battery(budget)]
-    ok = all(bits <= limit and dist <= DSD_NU for _, bits, limit, dist in rows)
-    return ok, "; ".join(f"d={d}: bits {bits} <= {limit:.0f}, dist {dist:.4f} <= {DSD_NU}"
-                         for d, bits, limit, dist in rows)
+    ok = all(bits <= limit and dist <= alpha for _, bits, limit, dist, alpha in rows)
+    return ok, "; ".join(f"d={d}: bits {bits} <= {limit:.0f}, dist {dist:.4f} <= {alpha}"
+                         for d, bits, limit, dist, alpha in rows)
 
 
 def _rsd_bits(budget):
     cs, _ = rsd_battery(budget)
     limit = bounds.rsd_predicted_bits(RSD_NU, cs.d)
-    savings = bounds.savings_factor(RSD_NU, cs.mean_bits, cs.d)
+    omega = claim(OperatorConfig("rsd", nu=RSD_NU), cs.d)[1]
+    savings = bounds.savings_factor(omega, cs.mean_bits, cs.d)
     return cs.mean_bits <= limit and savings >= 9.5, (
         f"mean bits {cs.mean_bits:.0f} <= {limit:.0f}, savings {savings:.2f} >= 9.5")
 

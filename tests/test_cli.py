@@ -463,6 +463,16 @@ class TestBenchAndSweep:
         assert run(["bench", "--dataset", "synth:ridge:d=6,n=24,seed=3",
                     "--ops", "identity:k=3", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("ops,code", [
+        ("foo", 1), ("dsd:nu=abc", 1), ("topk:k=2.5", 1), ("dsd:nu", 1), ("dsd:nu=-1", 3),
+    ])
+    def test_ops_exit_codes_match_compress(self, tmp_path, capsys, ops, code):
+        # what compress's flag parser rejects is a usage error; a value
+        # outside its domain is a validation failure, as in compress
+        assert run(["bench", "--dataset", "synth:ridge:d=6,n=24,seed=3",
+                    "--ops", ops, "--out", str(tmp_path)]) == code
+        assert ("usage error:" if code == 1 else "error:") in capsys.readouterr().err
+
     def test_eps_one_terminates_immediately(self, tmp_path, capsys):
         outdir = tmp_path / "b"
         assert run([

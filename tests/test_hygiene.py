@@ -3,11 +3,15 @@ stated reason: every module-level function, class and constant of
 src/gradcodec must be named somewhere outside its own definition in
 src, scripts or perfbench.  Likewise no module-level function only
 restates another: none may just pass its own parameters, in order, to
-one other callable.  And rng.py is the one module that builds a random
-generator, so every draw is keyed through its streams."""
+one other callable.  rng.py is the one module that builds a random
+generator, so every draw is keyed through its streams.  And the package
+needs numpy alone at run time."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -120,3 +124,37 @@ def test_only_rng_builds_a_generator():
     assert generator_builders() == []
     # the pattern still matches the one construction the rule allows
     assert GENERATOR_CALL.search((PACKAGE / "rng.py").read_text(encoding="utf-8"))
+
+
+def runtime_imports():
+    """'module.py:name' of each absolute import in src/gradcodec, at any
+    depth, whose top-level package is neither numpy nor the standard
+    library."""
+    allowed = {"numpy", *sys.stdlib_module_names}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_src_imports_numpy_and_the_standard_library_only():
+    assert runtime_imports() == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency; every gradcodec command imports cli
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, gradcodec.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

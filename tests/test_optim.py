@@ -191,11 +191,11 @@ class TestRatioSweep:
         assert rows[0]["ratio"] == pytest.approx(1.0)
 
     def test_theoretical_curves(self):
-        assert theoretical_ratio("topk", 0.75) == pytest.approx(4.0)
-        assert theoretical_ratio("rsd", 0.25) == pytest.approx(1.25)
-        assert theoretical_ratio("rsd-wrapped", 0.25) == pytest.approx(1.25)
-        assert theoretical_ratio("sc", 0.5) == pytest.approx(2.0)
-        assert theoretical_ratio("dsd", 0.2) == pytest.approx(1.25)
+        for family, param, ratio in (("topk", 0.75, 4.0), ("rsd", 0.25, 1.25),
+                                     ("rsd-wrapped", 0.25, 1.25), ("sc", 0.5, 2.0),
+                                     ("dsd", 0.2, 1.25)):
+            config = optim.sweep_config(family, param, 100)
+            assert theoretical_ratio(config, 100) == pytest.approx(ratio)
 
     def test_wrapped_rsd_ratio_increases(self, ridge):
         rows, _ = iteration_ratio_sweep(ridge, "rsd-wrapped", [0.1, 1.0],
