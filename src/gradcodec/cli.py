@@ -148,6 +148,8 @@ def cmd_bounds(args):
     if not all(v.is_integer() for v in ds):
         raise UsageError(f"d grid {args.d_grid!r} holds a non-integer")
     ds = [int(v) for v in ds]
+    if min(ds) < 1:
+        raise UsageError(f"d must be >= 1, got {min(ds)}")
     sep = "\t" if args.format == "table" else ","
     header = sep.join([
         "alpha", "d", "eq1_lower", "avg_lower", "bstar", "bstar_band",
@@ -227,15 +229,15 @@ def _safe_name(label):
 
 
 def cmd_bench(args):
+    # --ops is checked before the dataset's set-up, which can take seconds
+    configs = _parse_ops_list(args.ops, args.seed) if args.ops else None
     dataset = load_dataset(args.dataset)
     problem = make_problem(dataset, args.loss)
     L = smoothness(problem)
     x_star = minimizer(problem)
     d = problem.d
 
-    if args.ops:
-        configs = _parse_ops_list(args.ops, args.seed)
-    else:
+    if configs is None:
         configs = [("basic", BASIC)] + [(c.label(), c) for c in (
             OperatorConfig("dsd", nu=0.1),
             OperatorConfig("rsd", nu=0.25, seed=args.seed),

@@ -15,6 +15,15 @@ Shared payload conventions:
   * position sets are sent as a lexicographic subset rank,
   * per-coordinate levels use unary codes (k-1 ones then a zero).
 
+Every sum that reaches a payload field, a reconstruction or a distortion
+goes through _dot, numpy's einsum loop rather than BLAS, whose order
+follows its thread count; so every output is a function of (x, config,
+seed, message_index) and the numpy build.  The one BLAS sum left is SC's
+prefilter w @ x: its slack absorbs the rounding and the exact check on
+the reconstruction decides.  optim's gradient and stopping rule stay on
+BLAS: perfbench's CGD check repeats that stopping rule with np.dot, and
+a non-BLAS matvec would slow every d = 50 step.
+
 Randomized operators draw from a Philox stream keyed by
 (seed, message_index); a decoder configured with the same key replays
 the identical sample sequence.
@@ -57,13 +66,25 @@ def _as_vector(x):
     return x
 
 
+def _dot(a, b):
+    """<a, b> of two float64 vectors, summed in numpy's own fixed order
+    (einsum's loop, not BLAS), so the result is a function of the inputs
+    and the numpy build alone, whatever the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(x):
+    """||x||, from _dot."""
+    return math.sqrt(_dot(x, x))
+
+
 def normalized_distortion(x, reconstructed):
     """||C(x) - x||^2 / ||x||^2, defined as 0 for x = 0."""
-    nx2 = float(np.dot(x, x))
+    nx2 = _dot(x, x)
     if nx2 == 0.0:
         return 0.0
     err = reconstructed - x
-    return float(np.dot(err, err) / nx2)
+    return _dot(err, err) / nx2
 
 
 def _scale_field(value):
@@ -79,7 +100,7 @@ def _scale_field(value):
 
 def _direction(x):
     """(||x||, the unit direction x / ||x||); the direction of x = 0 is x."""
-    norm = math.sqrt(float(np.dot(x, x)))
+    norm = _norm(x)
     return norm, (x / norm if norm > 0.0 else x)
 
 
@@ -174,7 +195,7 @@ def dsd_compress(x, nu):
     if levels.any():
         h = math.sqrt(nu / x.size)
         u_hat = signs * (2.0 * h) * levels
-        gamma = 2.0 * h * float(np.dot(x, u_hat) / np.dot(u_hat, u_hat))
+        gamma = 2.0 * h * (_dot(x, u_hat) / _dot(u_hat, u_hat))
     return _sd_compress(x, levels, signs < 0, gamma)
 
 
@@ -194,7 +215,7 @@ def rsd_compress(x, nu, rng: np.random.Generator):
 
 def _sc_vector(norm, alpha, w):
     """The candidate direction w / ||w|| at radius norm sqrt(1 - alpha)."""
-    return norm * math.sqrt(1.0 - alpha) * (w / np.linalg.norm(w))
+    return norm * math.sqrt(1.0 - alpha) * (w / _norm(w))
 
 
 @functools.lru_cache(maxsize=256)
@@ -233,7 +254,7 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
     float64 vector; returns (payload, reconstruction).
     """
     d = x.size
-    norm = math.sqrt(float(np.dot(x, x)))
+    norm = _norm(x)
     norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
         return norm_field, np.zeros(d)
@@ -248,14 +269,15 @@ def sc_compress(x, alpha, seed, message_index=0, trial_cap=None):
         norms = np.sqrt(np.einsum("ij,ij->i", w, w))  # no block-sized temporary
         if not (norms > 0.0).all():
             raise ArithmeticError("degenerate zero-norm Gaussian draw")
-        # prefilter: ||scale w/|w| - x||^2 = scale^2 + ||x||^2 - 2 scale <w,x>/|w|,
-        # with slack for the expansion's rounding; candidates are re-verified
-        # on the exact reconstruction so the contraction is guaranteed.
+        # prefilter: ||scale w/|w| - x||^2 = scale^2 + ||x||^2 - 2 scale <w,x>/|w|.
+        # w @ x is the one BLAS sum here: its rounding, the expansion's too,
+        # is absorbed by the 1e-9 slack, and the exact check on the
+        # reconstruction decides, so no output depends on it.
         dist2 = base2 - 2.0 * scale * (w @ x) / norms
         for i in np.flatnonzero(dist2 <= threshold * (1.0 + 1e-9)):
             rec = _sc_vector(norm32, alpha, w[i])
             err = rec - x
-            if float(np.dot(err, err)) <= threshold:
+            if _dot(err, err) <= threshold:
                 return norm_field + bitio.golomb_rice_encode(first + int(i) + 1, m), rec
     raise GiveUpError(f"no accepted point within {cap} trials (alpha={alpha}, d={d})")
 
@@ -350,7 +372,7 @@ def std_dither(x, s, rng: np.random.Generator):
     is ternary quantization, {-1, 0, +1} times the norm.
     """
     d = x.size
-    norm = math.sqrt(float(np.dot(x, x)))
+    norm = _norm(x)
     norm_field, norm32 = _scale_field(norm)
     if norm == 0.0:
         return norm_field, np.zeros(d)

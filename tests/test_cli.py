@@ -397,6 +397,12 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "non-integer" in captured.err
 
+    @pytest.mark.parametrize("grid,value", [("0", "0"), ("100,-3", "-3")])
+    def test_d_below_one_is_usage_error(self, capsys, grid, value):
+        assert run(["bounds", "--d", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"d must be >= 1, got {value}" in captured.err
+
 
 class TestSelftest:
     def test_fast_passes_every_gate(self, capsys):
@@ -472,6 +478,11 @@ class TestBenchAndSweep:
         assert run(["bench", "--dataset", "synth:ridge:d=6,n=24,seed=3",
                     "--ops", ops, "--out", str(tmp_path)]) == code
         assert ("usage error:" if code == 1 else "error:") in capsys.readouterr().err
+
+    def test_ops_parsed_before_the_dataset_loads(self, tmp_path, capsys):
+        assert run(["bench", "--dataset", str(tmp_path / "missing.svm"),
+                    "--ops", "foo", "--out", str(tmp_path)]) == 1
+        assert "unknown operator kind 'foo'" in capsys.readouterr().err
 
     def test_eps_one_terminates_immediately(self, tmp_path, capsys):
         outdir = tmp_path / "b"

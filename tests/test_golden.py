@@ -8,8 +8,14 @@ and paste the printed dictionaries over the ones below.
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gradcodec import bitio
 from gradcodec.cli import main
@@ -61,9 +67,9 @@ WIRE_DIGESTS = {
     "rsd/2":
         "761b9ef1291c19c1c4dfac92e0c4c04e6a00656c40f2a0f503d670cfe89d614e",
     "sc/1000":
-        "66d495b260d188f5996150a770fb05ec64c0be871986c2b2d8bc0a8bca06025d",
+        "de976b1d3703f6ad768234000e4aec9c646ef2ac2bfcf743fac9701bf8c0fcae",
     "sc/17":
-        "dfcae38f72bc5258ef10a57e28d97d8dcd60dc22c47261835409ba118b8e69bf",
+        "c124f668b2f0d52addf87aad2e83f87eed125b32980cac8fd74f3efec38dca0c",
     "sc/2":
         "d81458c15e0d7c4dc639e304454cbba30e2805520e53725b7febe39103a71df5",
     "ternary/1000":
@@ -97,11 +103,11 @@ EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 2.0**-130, -(2.0**-130), 5e-324, -5e-
 # sha256 over (container bytes, encoder and decoder output bytes, repr of
 # the distortion) of every multi-block message, per row
 MULTI_BLOCK_DIGESTS = {
-    "dither-s1000": "4edfe0200309115133679843ef245b1ee0b1ab4ea18079769f2fce349efef869",
-    "dither-s7": "2fa84ccff303ed84da6006ce03bbeb9cc22b1383d1d9f43fc4fabc1c9609a858",
-    "identity": "b4070d706bf1c815423586dac78ae117ff374ef2663da381773553882e1b4182",
-    "natural": "f160b6d2e75c58d4feb1e6a80204b0dba020b71af6a9d796a193243beca8b51b",
-    "ternary": "14d5b5cec2b4e02e6d0ea76549d0b771cdc540289b3b1bc157c3c2c20af54971",
+    "dither-s1000": "8db5423f4264d04b3900e9c012bd126deb7a7c762ee92a0579e7a213d35081c3",
+    "dither-s7": "0acd71e3df82e1509bcd366b07328176023cc997c23461e3c94cc648e85679be",
+    "identity": "cd7bdfcef6c7ffcc52cb228870b620cb30b5d64c452461694de9233e05d09848",
+    "natural": "9ac5b22a09d7d3156be851583668389b44ee3a8a51a0ece3d60ed4a4ac44f3db",
+    "ternary": "ed6e8850d0e342ba7d7ae8adb215aa6a629d91213cc897e46355fcbc3fc49f2f",
 }
 
 # sha256 of each default `bench` trace CSV, without its `# version=` line
@@ -214,6 +220,21 @@ def test_wire_digests():
 
 def test_multi_block_digests():
     assert multi_block_digests() == MULTI_BLOCK_DIGESTS
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+def test_digests_do_not_depend_on_blas_threads(threads):
+    # the thread count is read when numpy loads, so each count gets its own
+    # process; the three take about 1.4 s together on 2 cores
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here),
+                                          *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import json, test_golden as g; "
+             "print(json.dumps([g.wire_digests(), g.multi_block_digests()]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == [WIRE_DIGESTS, MULTI_BLOCK_DIGESTS]
 
 
 def test_trace_digests(tmp_path, capsys):

@@ -4,8 +4,9 @@ src/gradcodec must be named somewhere outside its own definition in
 src, scripts or perfbench.  Likewise no module-level function only
 restates another: none may just pass its own parameters, in order, to
 one other callable.  rng.py is the one module that builds a random
-generator, so every draw is keyed through its streams.  And the package
-needs numpy alone at run time."""
+generator, so every draw is keyed through its streams.  compressors sums
+only through its _dot, so no output depends on the BLAS thread count.
+And the package needs numpy alone at run time."""
 
 import ast
 import os
@@ -23,6 +24,8 @@ USERS = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").glob(
 WORD = re.compile(r"\w+")
 # a call that builds a numpy Generator or bit generator
 GENERATOR_CALL = re.compile(r"\b(Generator|default_rng|Philox|PCG64|PCG64DXSM|SFC64|MT19937)\(")
+# a numpy call whose sum BLAS may order by its thread count
+BLAS_SUM_CALL = re.compile(r"\bnp\.(dot|vdot|inner|vecdot|linalg\.norm)\(")
 
 # name -> why it stays although no program file names it
 KEPT = {
@@ -124,6 +127,25 @@ def test_only_rng_builds_a_generator():
     assert generator_builders() == []
     # the pattern still matches the one construction the rule allows
     assert GENERATOR_CALL.search((PACKAGE / "rng.py").read_text(encoding="utf-8"))
+
+
+def blas_sums():
+    """'compressors.py:line' of each BLAS sum call outside compressors._dot."""
+    path = PACKAGE / "compressors.py"
+    text = path.read_text(encoding="utf-8")
+    dot = next(node for node in ast.parse(text).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_dot")
+    return [f"{path.name}:{number}"
+            for number, line in enumerate(text.splitlines(), 1)
+            if BLAS_SUM_CALL.search(line) and not dot.lineno <= number <= dot.end_lineno]
+
+
+def test_compressors_sum_only_through_dot():
+    assert blas_sums() == []
+    # the pattern still matches each call the rule forbids
+    for call in ("np.dot(x, x)", "np.vdot(a, b)", "np.inner(a, b)", "np.vecdot(a, b)",
+                 "w / np.linalg.norm(w)"):
+        assert BLAS_SUM_CALL.search(call)
 
 
 def runtime_imports():
