@@ -375,21 +375,106 @@ def subset_unrank(rank, d, n0):
     return _unrank(rank, d, n0, total)
 
 
+# Above d = SUBSET_BLOCK coordinates a subset field is cut into blocks
+# of SUBSET_BLOCK coordinates, the last one shorter where d is not a
+# multiple, and each block sends its member count and its own rank, as
+# in Cover's enumerative coding (IEEE Trans. IT, 1973).  A count takes
+# ceil(log2(min(length, left) + 1)) bits with `left` members not yet
+# placed, so the blocks after the last member cost nothing, and the last
+# block's count is implied.  A rank costs time quadratic in its width,
+# so blocks make the field's cost linear in d.  prod C(B_b, n_b) <=
+# C(d, n0), so the extra bits are at most the counts' widths plus one
+# bit of rounding per block (README, "Wire format").  At or below
+# SUBSET_BLOCK the field is the one rank over C(d, n0).  Chosen from
+# scripts/subset_block_grid.py.
+SUBSET_BLOCK = 1 << 13
+
+
 def write_subset(positions, d, n0) -> BitString:
-    """Subset rank as a fixed field of ceil(log2 C(d, n0)) bits."""
-    total = binom(d, n0)
-    return write_fixed(_rank(positions, d, n0, total), (total - 1).bit_length())
+    """The field of an ascending n0-subset of {0..d-1}: up to
+    d = SUBSET_BLOCK, its rank in ceil(log2 C(d, n0)) bits; above it,
+    for each block, its member count n_b, which the last block leaves
+    implied, then the rank of its members in ceil(log2 C(B_b, n_b))
+    bits."""
+    if d <= SUBSET_BLOCK:
+        total = binom(d, n0)
+        return write_fixed(_rank(positions, d, n0, total), (total - 1).bit_length())
+    pos = np.asarray(positions, dtype=np.int64)
+    if pos.shape != (n0,):
+        raise ValueError(f"expected {n0} positions, got {pos.size}")
+    if n0 and (np.diff(pos) <= 0).any():
+        raise ValueError("positions must be strictly increasing")
+    if n0 and (pos[0] < 0 or pos[-1] >= d):
+        raise ValueError("positions out of range")
+    acc = width = 0
+    left = n0
+    starts = range(0, d, SUBSET_BLOCK)
+    ends = np.searchsorted(pos, [*starts[1:], d]).tolist()
+    lo = 0
+    for start, hi in zip(starts, ends):
+        if not left:
+            break
+        length = min(SUBSET_BLOCK, d - start)
+        n = hi - lo
+        if start + length < d:
+            w = min(length, left).bit_length()
+            acc, width = (acc << w) | n, width + w
+        total = binom(length, n)
+        w = (total - 1).bit_length()
+        rank = _rank((pos[lo:hi] - start).tolist(), length, n, total)
+        acc, width = (acc << w) | rank, width + w
+        left -= n
+        lo = hi
+    return write_fixed(acc, width)
 
 
 def read_subset(cursor: BitCursor, d, n0):
-    """Read a write_subset field; MalformedCodeError where n0 > d, or
-    where the rank is C(d, n0) or more, which the field's width can hold.
+    """Read a write_subset field as the ascending position list.
+
+    MalformedCodeError where n0 > d, where a block's count exceeds its
+    length or the members left, where the last block cannot hold the
+    members left, or where a rank is C(B_b, n_b) or more, which its
+    field's width can hold.  Every count and rank is read and checked
+    before any rank is unranked."""
+    if n0 > d:
+        raise MalformedCodeError(f"subset size {n0} exceeds dimension {d}")
+    if d <= SUBSET_BLOCK:
+        return _unrank(*_read_rank(cursor, d, n0))
+    fields = []
+    left = n0
+    for start in range(0, d, SUBSET_BLOCK):
+        if not left:
+            break
+        length = min(SUBSET_BLOCK, d - start)
+        if start + length < d:
+            most = min(length, left)
+            n = cursor.read_bits(most.bit_length())
+            if n > most:
+                raise MalformedCodeError(
+                    f"count {n} of the block at coordinate {start} exceeds "
+                    f"min({length}, {left} members left)"
+                )
+        elif left > length:
+            raise MalformedCodeError(
+                f"{left} members left for the last block's {length} coordinates"
+            )
+        else:
+            n = left
+        fields.append((start, _read_rank(cursor, length, n)))
+        left -= n
+    positions = []
+    for start, field in fields:
+        positions += [start + p for p in _unrank(*field)]
+    return positions
+
+
+def _read_rank(cursor, d, n0):
+    """(rank, d, n0, total) of one rank field over C(d, n0) = total, for
+    n0 <= d; MalformedCodeError where the rank is total or more.
 
     C(d, k) >= (d/k)^k with k = min(n0, d - n0) bounds the width from
     below, so a payload too short for the field is rejected before the
     cost of computing C(d, n0)."""
-    if n0 > d:
-        raise MalformedCodeError(f"subset size {n0} exceeds dimension {d}")
     k = min(n0, d - n0)
     if k and cursor.remaining() < math.floor(k * math.log2(d / k)) - 1:
         raise TruncatedStreamError(
@@ -400,7 +485,7 @@ def read_subset(cursor: BitCursor, d, n0):
     rank = cursor.read_bits((total - 1).bit_length())
     if rank >= total:
         raise MalformedCodeError(f"subset rank {rank} out of range for C({d},{n0})")
-    return _unrank(rank, d, n0, total)
+    return rank, d, n0, total
 
 
 # Both scans walk t = d-1-j down from d-1 and keep the running binomial

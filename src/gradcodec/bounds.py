@@ -5,6 +5,7 @@ arithmetic.  All logarithms are base 2.
 
 import math
 
+from . import bitio
 from .bitio import binom
 from .geometry import CapParams, log2_cap_probability
 
@@ -78,6 +79,22 @@ def rsd_predicted_bits(omega, d):
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return 30.0 + math.log2(d) + (math.log2(3.0) + 0.5 / math.sqrt(omega)) * d
+
+
+def subset_field_bits(d, n0):
+    """Most bits `bitio.write_subset` sends for an n0-subset of {0..d-1}.
+
+    Up to d = B = bitio.SUBSET_BLOCK the field is ceil(log2 C(d, n0))
+    bits.  Above it, each of the m = ceil(d/B) blocks' ranks rounds up by
+    less than a bit, and prod C(B_b, n_b) <= C(d, n0) (Vandermonde), so
+    the ranks take at most ceil(log2 C(d, n0)) + m bits; the m - 1 sent
+    counts take at most ceil(log2(min(B, n0) + 1)) bits each."""
+    block = bitio.SUBSET_BLOCK
+    width = bitio.subset_code_width(d, n0)
+    if d <= block:
+        return width
+    blocks = -(-d // block)
+    return width + (blocks - 1) * min(block, n0).bit_length() + blocks
 
 
 def savings_factor(omega, expected_bits, d):

@@ -12,7 +12,8 @@ cursor and rejects bits left after the reader is done.
 Shared payload conventions:
   * scale fields are 31-bit binary32 magnitudes (sign bit dropped),
   * sign bits are 1 for negative, 0 for positive,
-  * position sets are sent as a lexicographic subset rank,
+  * position sets are sent as bitio.write_subset fields: a lexicographic
+    subset rank, one per block of bitio.SUBSET_BLOCK coordinates above it,
   * per-coordinate levels use unary codes (k-1 ones then a zero).
 
 Every sum that reaches a payload field, a reconstruction or a distortion

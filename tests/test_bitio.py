@@ -436,13 +436,17 @@ class TestBinom:
             tracemalloc.stop()
         assert peak < 8 * n  # the float64 vector a decoder at d = n allocates
 
-    def test_hostile_field_stays_on_math_comb(self):
-        # a 4.5 KB container at MAX_D: width far below d/_FACTOR_N_PER_BIT,
-        # so the decoder computes C(d, n0) without sieving d numbers
+    def test_hostile_field_stays_on_math_comb(self, monkeypatch):
+        # a 4.5 KB container at MAX_D: the decoder computes no binomial over
+        # more than one block of SUBSET_BLOCK numbers, so it sieves no d
+        # numbers, and stops reading once every member is placed
         d, n0 = bitio.MAX_D, 2048
-        assert not bitio._factored_pays(d, n0)
-        field = bitio.write_fixed(0, bitio.subset_code_width(d, n0))
+        calls = []
+        binom = bitio.binom
+        monkeypatch.setattr(bitio, "binom", lambda n, k: calls.append(n) or binom(n, k))
+        field = bitio.write_subset(list(range(n0)), d, n0)
         assert len(field) < 36_000
+        calls.clear()
         tracemalloc.start()
         try:
             positions = bitio.read_subset(BitCursor(field), d, n0)
@@ -450,7 +454,28 @@ class TestBinom:
         finally:
             tracemalloc.stop()
         assert positions == list(range(n0))
+        assert calls == [bitio.SUBSET_BLOCK]
         assert peak < 2 << 20
+
+
+def blocked_width(positions, d):
+    """The width rule of the subset field, spelled out: one rank over
+    C(d, n0) up to SUBSET_BLOCK; above it, per block of B_b coordinates
+    with n_b of the members, a count of ceil(log2(min(B_b, r) + 1)) bits
+    for r members not yet placed (none for the last block), then a rank
+    of ceil(log2 C(B_b, n_b)) bits."""
+    B, n0 = bitio.SUBSET_BLOCK, len(positions)
+    if d <= B:
+        return math.ceil(math.log2(math.comb(d, n0)))
+    counts = np.bincount(np.asarray(positions, dtype=np.int64) // B, minlength=-(-d // B))
+    width, left = 0, n0
+    for b, n in enumerate(counts.tolist()):
+        length = min(B, d - b * B)
+        if b < counts.size - 1:
+            width += math.ceil(math.log2(min(length, left) + 1))
+        width += math.ceil(math.log2(math.comb(length, n)))
+        left -= n
+    return width
 
 
 def _direct_rank(positions, d, n0):
@@ -522,7 +547,7 @@ class TestGroupedSubsetCode:
         d, n0 = 100_000, 61_343
         positions = sorted(np.random.default_rng(7).choice(d, size=n0, replace=False).tolist())
         field = bitio.write_subset(positions, d, n0)
-        assert len(field) == bitio.subset_code_width(d, n0)
+        assert len(field) == blocked_width(positions, d)
         cursor = BitCursor(field)
         assert bitio.read_subset(cursor, d, n0) == positions
         assert cursor.remaining() == 0
@@ -540,13 +565,21 @@ class TestGroupedSubsetCode:
         assert _grouped_unrank(other, d, n0, steps) == _direct_unrank(other, d, n0)
 
     def test_length_check_admits_every_full_field(self):
-        # read_subset rejects a short payload from a lower bound on the
-        # field's width; a field of exactly that width must still decode
+        # read_subset rejects a short payload from a lower bound on each
+        # rank field's width; a field of exactly its width must still
+        # decode.  Above SUBSET_BLOCK the members sit in the first blocks
+        # or in the last ones, so the last rank read ends the field.
         cases = [(d, n0) for d in range(1, 65) for n0 in range(d + 1)]
         cases += [(10**4, n0) for n0 in (1, 2, 10, 100, 5000, 9990, 9999, 10**4)]
         for d, n0 in cases:
-            field = bitio.write_fixed(0, bitio.subset_code_width(d, n0))
-            assert bitio.read_subset(BitCursor(field), d, n0) == list(range(n0))
+            if d <= bitio.SUBSET_BLOCK:
+                field = bitio.write_fixed(0, bitio.subset_code_width(d, n0))
+                assert bitio.read_subset(BitCursor(field), d, n0) == list(range(n0))
+                continue
+            for positions in (list(range(n0)), list(range(d - n0, d))):
+                field = bitio.write_subset(positions, d, n0)
+                assert len(field) == blocked_width(positions, d)
+                assert bitio.read_subset(BitCursor(field), d, n0) == positions
 
     @pytest.mark.parametrize("d,n0", [(0, 1), (1, 2), (10, 11), (10, 1000)])
     def test_read_rejects_subset_larger_than_dimension(self, d, n0):
@@ -562,6 +595,108 @@ class TestGroupedSubsetCode:
         for rank in (total, 2 ** width - 1):
             with pytest.raises(MalformedCodeError):
                 bitio.read_subset(BitCursor(bitio.write_fixed(rank, width)), d, n0)
+
+
+B = bitio.SUBSET_BLOCK
+
+
+def blocked_field(counts, ranks, d):
+    """A subset field written field by field: each block's count (but the
+    last block's) and rank, in the widths of the layout."""
+    parts, left = [], sum(counts)
+    for b, (n, rank) in enumerate(zip(counts, ranks)):
+        length = min(B, d - b * B)
+        if b < len(counts) - 1:
+            parts.append(bitio.write_fixed(n, min(length, left).bit_length()))
+        parts.append(bitio.write_fixed(rank, bitio.subset_code_width(length, n)))
+        left -= n
+    return BitString.concat(parts)
+
+
+class TestBlockedSubset:
+    """The subset field above d = SUBSET_BLOCK: a count and a rank per block."""
+
+    @pytest.mark.parametrize("d", [B - 1, B, B + 1, 2 * B + 3, 10**5])
+    def test_round_trip(self, d):
+        rng = np.random.default_rng(d)
+        edges = sorted({p for e in range(0, d + 1, B) for p in (e - 1, e) if 0 <= p < d})
+        sets = [[], [0], [d - 1], list(range(d)), edges,
+                list(range(B // 2, min(d, B))),  # every member in one block
+                sorted(rng.choice(d, size=d // 3, replace=False).tolist()),
+                sorted(rng.choice(d, size=d - 5, replace=False).tolist())]
+        for positions in sets:
+            n0 = len(positions)
+            field = bitio.write_subset(positions, d, n0)
+            assert len(field) == blocked_width(positions, d)
+            cursor = BitCursor(field + BitString([1, 0]))
+            assert bitio.read_subset(cursor, d, n0) == positions
+            assert cursor.remaining() == 2
+
+    @pytest.mark.parametrize("d", [1, 2, 17, 1000, B - 1, B])
+    def test_single_rank_at_or_below_block(self, d):
+        rng = np.random.default_rng(d)
+        for n0 in {0, 1, d // 7, d // 2, d - 1, d}:
+            positions = sorted(rng.choice(d, size=n0, replace=False).tolist())
+            assert bitio.write_subset(positions, d, n0) == bitio.write_fixed(
+                bitio.subset_rank(positions, d, n0), bitio.subset_code_width(d, n0))
+
+    @pytest.mark.parametrize("positions,n0", [
+        ([1, 1], 2), ([3, 1], 2), ([-1], 1), ([10 * B + 7], 1), ([0, 1], 3),
+    ])
+    def test_writer_rejects_bad_positions(self, positions, n0):
+        with pytest.raises(ValueError):
+            bitio.write_subset(positions, 10 * B + 7, n0)
+
+    @pytest.mark.parametrize("n0,fields,match", [
+        # (value, width) fields; block 0 holds one member at rank 0, then
+        # block 1's 3-bit count is above the 4 members left
+        (5, [(1, 3), (0, bitio.subset_code_width(B, 1)), (6, 3)], "exceeds"),
+        # a count above its block's length
+        (B + 10, [(0, B.bit_length()), (B + 1, B.bit_length())], "exceeds"),
+        # after blocks 0 and 1, four members left for the last block's 3 coordinates
+        (5, [(1, 3), (0, bitio.subset_code_width(B, 1)), (0, 3)], "members left"),
+    ], ids=["above-left", "above-block", "last-overfull"])
+    def test_bad_counts_are_malformed_before_any_unrank(self, monkeypatch, n0, fields, match):
+        d = 2 * B + 3
+        unranked = []
+        monkeypatch.setattr(bitio, "_unrank", lambda *a: unranked.append(a) or [])
+        field = BitString.concat([bitio.write_fixed(v, w) for v, w in fields]
+                                 + [BitString([0] * 64)])
+        with pytest.raises(MalformedCodeError, match=match):
+            bitio.read_subset(BitCursor(field), d, n0)
+        assert unranked == []
+
+    def test_out_of_range_block_rank_is_malformed(self):
+        d, total = 2 * B + 3, math.comb(B, 2)
+        last = blocked_field([2, 0, 0], [total - 1, 0, 0], d)
+        assert bitio.read_subset(BitCursor(last), d, 2) == [B - 2, B - 1]
+        bad = bitio.write_fixed(2, 2) + bitio.write_fixed(total, bitio.subset_code_width(B, 2))
+        with pytest.raises(MalformedCodeError, match="out of range"):
+            bitio.read_subset(BitCursor(bad), d, 2)
+
+    def test_block_length_check_runs_before_its_binomial(self, monkeypatch):
+        # a count of B/2 with nothing after it: C(B, B/2) is never computed
+        d = 2 * B
+        calls = []
+        binom = bitio.binom
+        monkeypatch.setattr(bitio, "binom", lambda n, k: calls.append((n, k)) or binom(n, k))
+        field = bitio.write_fixed(B // 2, (B // 2).bit_length())
+        with pytest.raises(TruncatedStreamError):
+            bitio.read_subset(BitCursor(field), d, B // 2)
+        assert calls == []
+
+    def test_forged_maximum_ranks_decode_in_linear_time(self):
+        # every nonempty block at its largest rank, so each unrank walks its
+        # whole block: about 0.2 s, where a forged rank of the same size
+        # over C(2^20, 2048) took 2.9 s (README, "Wire format")
+        d, n0 = 1 << 20, 2048
+        blocks = d // B
+        counts = [n0 // blocks] * blocks
+        ranks = [math.comb(B, n) - 1 for n in counts]
+        field = blocked_field(counts, ranks, d)
+        expected = [b * B + p for b, n in enumerate(counts) for p in range(B - n, B)]
+        assert bitio.read_subset(BitCursor(field), d, n0) == expected
+        assert bitio.write_subset(expected, d, n0) == field
 
 
 class TestFloatMagnitude:

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from gradcodec import bounds
+from gradcodec import bitio, bounds
 from gradcodec.geometry import CapParams, cap_probability
 
 
@@ -115,6 +116,32 @@ class TestCoveringBoundRhs:
     def test_domain(self):
         with pytest.raises(ValueError):
             bounds.covering_bound_rhs(2)
+
+
+class TestSubsetFieldBits:
+    def test_single_rank_at_or_below_block(self):
+        for d, n0 in ((1, 0), (17, 5), (bitio.SUBSET_BLOCK, 100)):
+            assert bounds.subset_field_bits(d, n0) == bitio.subset_code_width(d, n0)
+
+    @pytest.mark.parametrize("d", [bitio.SUBSET_BLOCK + 1, 2 * bitio.SUBSET_BLOCK + 3,
+                                   10**5, 3 * 10**5 + 7])
+    def test_measured_width_within_bound(self, d):
+        # the field is at most ceil(log2 C(d, n0)) + the counts' widths + one
+        # bit per block, and the counts' widths are at most bound's
+        B = bitio.SUBSET_BLOCK
+        blocks = -(-d // B)
+        rng = np.random.default_rng(d)
+        for n0 in (1, 40, d // 100, d // 4, d // 2, d - 3):
+            positions = np.sort(rng.choice(d, size=n0, replace=False))
+            counts = np.bincount(positions // B, minlength=blocks).tolist()
+            left, count_bits = n0, 0
+            for n in counts[:-1]:
+                count_bits += min(B, left).bit_length()
+                left -= n
+            width = len(bitio.write_subset(positions.tolist(), d, n0))
+            whole = bitio.subset_code_width(d, n0)
+            assert width <= whole + count_bits + blocks
+            assert width <= bounds.subset_field_bits(d, n0)
 
 
 class TestReportAndTable:

@@ -191,19 +191,20 @@ class TestErrorPaths:
         assert "subset rank 255 out of range" in capsys.readouterr().err
 
     def test_short_rank_field_rejected_in_bounded_time(self, tmp_path, capsys):
-        # dsd at d=10^6 declaring n0=5*10^5 zeros: C(d, n0) alone takes
-        # seconds to compute, and the 100 bits left cannot hold its rank
-        d = 10**6
+        # dsd at d=10^6 declaring n0=5*10^5 zeros, the first block holding
+        # half its coordinates: the 100 bits left cannot hold that block's
+        # rank over C(B, B/2), which is rejected before it is computed
+        d, block = 10**6, bitio.SUBSET_BLOCK
         payload = BitString.concat([
             bitio.write_float_magnitude(1.0), bitio.write_fixed(d // 2, d.bit_length()),
-            BitString([1] * 100),
+            bitio.write_fixed(block // 2, block.bit_length()), BitString([1] * 100),
         ])
         bad = tmp_path / "bad.gcv"
         bad.write_bytes(bitio.pack_container(OPERATOR_TAGS["dsd"], d, payload))
         start = time.perf_counter()
         assert run(["decompress", "--in", str(bad)]) == 2
         assert time.perf_counter() - start < 0.5
-        assert "subset rank over C(1000000,500000)" in capsys.readouterr().err
+        assert f"subset rank over C({block},{block // 2})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["trailing byte", "padding bit"])
     def test_noncanonical_container_exits_2(self, tmp_path, capsys, edit):

@@ -792,24 +792,27 @@ def fuzz_payloads(kind, d, gen):
 
 def test_decoders_return_a_vector_or_raise_decode_error():
     # every decode of a fuzzed payload at d - 1, d and d + 1 returns a
-    # float64 d-vector or raises DecodeError, with no warning
+    # float64 d-vector or raises DecodeError, with no warning; the subset
+    # kinds also at d = SUBSET_BLOCK + 1, where d - 1 reads one rank over
+    # C(d, n0) and d and d + 1 a count and a rank per block
     gen = np.random.default_rng(2024)
     escapes = []
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kind, config in FUZZ_CONFIGS.items():
-            for d in (0, 1, 2, 3, 17, 64):
-                for bits in fuzz_payloads(kind, d, gen):
-                    for dd in range(max(d - 1, 0), d + 2):
-                        try:
-                            rec = decode_payload(config, BitString(bits), dd)
-                        except bitio.DecodeError:
-                            continue
-                        except Exception as exc:  # any other escape is reported below
-                            escapes.append(f"{kind} d={dd} {bits.size} bits: {exc!r}")
-                            continue
-                        if not (rec.dtype == np.float64 and rec.shape == (dd,)):
-                            escapes.append(f"{kind} d={dd}: {rec.dtype} {rec.shape}")
+        cases = [(kind, d) for kind in FUZZ_CONFIGS for d in (0, 1, 2, 3, 17, 64)]
+        cases += [(kind, bitio.SUBSET_BLOCK + 1) for kind in ("dsd", "rsd", "topk", "randsparse")]
+        for kind, d in cases:
+            for bits in fuzz_payloads(kind, d, gen):
+                for dd in range(max(d - 1, 0), d + 2):
+                    try:
+                        rec = decode_payload(FUZZ_CONFIGS[kind], BitString(bits), dd)
+                    except bitio.DecodeError:
+                        continue
+                    except Exception as exc:  # any other escape is reported below
+                        escapes.append(f"{kind} d={dd} {bits.size} bits: {exc!r}")
+                        continue
+                    if not (rec.dtype == np.float64 and rec.shape == (dd,)):
+                        escapes.append(f"{kind} d={dd}: {rec.dtype} {rec.shape}")
     assert escapes == []
     assert time.perf_counter() - start < 5.0

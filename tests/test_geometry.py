@@ -1,11 +1,11 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc as scipy_betainc
 
 from gradcodec import bitio
 from gradcodec.geometry import (CapParams, cap_probability,
@@ -38,8 +38,14 @@ class TestRegIncBeta:
 
     @given(st.floats(0.0, 1.0), st.floats(0.05, 200.0), st.floats(0.05, 20.0))
     @settings(max_examples=300)
+    # scipy.special.betainc is off by 2.8e-9 here, so the reference is
+    # mpmath at 50 digits: 0.9999999932921207, the closed form
+    # (2/pi) asin(sqrt(p)) to the last bit
+    @example(1.0 - 2.0**-53, 0.5, 0.5)
     def test_against_scipy(self, p, a, b):
-        assert abs(reg_inc_beta(p, a, b) - scipy_betainc(a, b, p)) < 1e-12
+        with mpmath.workdps(50):
+            expected = float(mpmath.betainc(a, b, 0, p, regularized=True))
+        assert abs(reg_inc_beta(p, a, b) - expected) < 1e-12
 
     def test_monotone_in_p(self):
         grid = np.linspace(0.0, 1.0, 101)

@@ -87,7 +87,9 @@ WIRE_DIGESTS = {
 }
 
 # The dense codecs walk the vector in blocks of bitio.BLOCK = 2^15
-# coordinates; these rows span several blocks and end mid-byte.
+# coordinates, and the subset codecs send their position sets in blocks
+# of bitio.SUBSET_BLOCK; these rows span several blocks of each and end
+# mid-byte.
 MULTI_BLOCK_D = 2 * 2**16 + 3
 MULTI_BLOCK_CONFIGS = {
     "dither-s7": OperatorConfig("dither", levels=7, seed=21),
@@ -95,6 +97,10 @@ MULTI_BLOCK_CONFIGS = {
     "ternary": OperatorConfig("ternary", seed=23),
     "natural": OperatorConfig("natural", seed=24),
     "identity": OperatorConfig("identity"),
+    "dsd": OperatorConfig("dsd", nu=0.1),
+    "rsd": OperatorConfig("rsd", nu=0.25, seed=25),
+    "topk": OperatorConfig("topk", k=MULTI_BLOCK_D // 100),
+    "randsparse": OperatorConfig("randsparse", k=MULTI_BLOCK_D // 100, seed=26),
 }
 # values placed on and around the block edges of every multi-block input
 EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 2.0**-130, -(2.0**-130), 5e-324, -5e-324,
@@ -105,9 +111,13 @@ EDGE_VALUES = (0.0, -0.0, 1e-300, -1e-300, 2.0**-130, -(2.0**-130), 5e-324, -5e-
 MULTI_BLOCK_DIGESTS = {
     "dither-s1000": "8db5423f4264d04b3900e9c012bd126deb7a7c762ee92a0579e7a213d35081c3",
     "dither-s7": "0acd71e3df82e1509bcd366b07328176023cc997c23461e3c94cc648e85679be",
+    "dsd": "9392e9ff031741c71e92d68d59434239270afd9628631578404a655a29583256",
     "identity": "cd7bdfcef6c7ffcc52cb228870b620cb30b5d64c452461694de9233e05d09848",
     "natural": "9ac5b22a09d7d3156be851583668389b44ee3a8a51a0ece3d60ed4a4ac44f3db",
+    "randsparse": "0d28803c4aae66340e3f13d27faedd5e57ccd40bffa9a31cc0a671be7b039189",
+    "rsd": "fd1d98207a7370210006bccf68c5da3f001cec35881157d3272e0dce6a562862",
     "ternary": "ed6e8850d0e342ba7d7ae8adb215aa6a629d91213cc897e46355fcbc3fc49f2f",
+    "topk": "fbac6fa2295e5e0c26013b6f410011422da87c7998c0cda79ebe21f676641935",
 }
 
 # sha256 of each default `bench` trace CSV, without its `# version=` line
@@ -225,7 +235,7 @@ def test_multi_block_digests():
 @pytest.mark.parametrize("threads", (1, 2, 3))
 def test_digests_do_not_depend_on_blas_threads(threads):
     # the thread count is read when numpy loads, so each count gets its own
-    # process; the three take about 1.4 s together on 2 cores
+    # process; the three take about 5 s together on 2 cores
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here),

@@ -1,5 +1,5 @@
 """The paper scripts' command lines parse under the current CLI, and
-the binomial, direct-bits and SC block grid scripts run.
+the binomial, direct-bits, SC block and subset block grid scripts run.
 
 Each paper script is loaded by path with its `main` replaced by a
 recorder, so the check takes milliseconds instead of a full benchmark
@@ -74,3 +74,17 @@ def test_sc_block_grid_cell():
         assert len(row) == len(module.CAPS)
         assert all(math.isfinite(t) and t > 0.0 for t in row)
     assert (bitio.BLOCK, compressors.sc_code(0.01, 200)[2]) == (default, block)
+
+
+def test_subset_block_grid_cell():
+    # one cell at d = 3B: every block size in the grid, then the single rank;
+    # the grid sets bitio.SUBSET_BLOCK and puts it back
+    module = load("subset_block_grid")
+    default = bitio.SUBSET_BLOCK
+    d = 3 * default
+    positions = sorted(np.random.default_rng(0).choice(d, size=40, replace=False).tolist())
+    times, extra = module.cell(positions, d, rounds=1)
+    assert len(times) == len(extra) == len(module.BLOCKS)
+    assert all(math.isfinite(t) and t > 0.0 for t in times)
+    assert module.cell(positions, d, rounds=1, blocks=(d,))[1] == [0]
+    assert bitio.SUBSET_BLOCK == default
